@@ -71,7 +71,7 @@ pub const CLOCK: u32 = 54;
 /// write lock, so history is always the inner lock of the pair.
 pub const MVCC_HISTORY: u32 = 56;
 
-/// Per-query scalar-subquery memo cache (`exec::SubqueryCache`).
+/// Per-query scalar-subquery memo cache (`subquery::SubqueryCache`).
 pub const SUBQUERY_CACHE: u32 = 60;
 
 /// UDF single-flight table (`udf::Shared.in_flight`).

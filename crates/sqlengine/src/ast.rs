@@ -5,6 +5,8 @@
 //! operators, scalar and IN/EXISTS subqueries, CASE, CAST, LIKE and the
 //! usual DDL/DML (CREATE/DROP/ALTER TABLE, INSERT, UPDATE, DELETE).
 
+use std::sync::Arc;
+
 use crate::value::Value;
 
 /// A full statement.
@@ -198,12 +200,17 @@ pub enum Expr {
     /// `expr [NOT] BETWEEN low AND high`.
     Between { expr: Box<Expr>, low: Box<Expr>, high: Box<Expr>, negated: bool },
     /// `expr [NOT] IN (list)` or `expr [NOT] IN (SELECT ...)`.
+    ///
+    /// Subqueries are shared (`Arc`): every clone of an expression — the
+    /// planner's and binder's copies included — points at the one parsed
+    /// statement, whose address keys the per-statement subquery cache
+    /// ([`crate::subquery::SubqueryCache`]).
     InList { expr: Box<Expr>, list: Vec<Expr>, negated: bool },
-    InSubquery { expr: Box<Expr>, query: Box<SelectStmt>, negated: bool },
+    InSubquery { expr: Box<Expr>, query: Arc<SelectStmt>, negated: bool },
     /// `[NOT] EXISTS (SELECT ...)`.
-    Exists { query: Box<SelectStmt>, negated: bool },
+    Exists { query: Arc<SelectStmt>, negated: bool },
     /// Scalar subquery returning a single value.
-    ScalarSubquery(Box<SelectStmt>),
+    ScalarSubquery(Arc<SelectStmt>),
     /// `CASE [operand] WHEN .. THEN .. [ELSE ..] END`.
     Case {
         operand: Option<Box<Expr>>,

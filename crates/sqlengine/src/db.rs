@@ -42,6 +42,7 @@ use crate::optimizer::OptimizerConfig;
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::RelSchema;
 use crate::storage::{Catalog, Column, Table};
+use crate::subquery::{SubqueryCounters, SubqueryStats};
 use crate::txn::{
     catalog_deltas, commit_records, StmtWrites, TableDelta, Txn, TxnManager, WriteSet,
 };
@@ -103,6 +104,8 @@ pub struct Database {
     /// whoever turns the statement into a commit: the transaction's write
     /// set, the auto-commit WAL encoder, or a `SharedDb` session.
     stmt_writes: StmtWrites,
+    /// Correlated-subquery path counters of the statements run here.
+    subquery_counters: Arc<SubqueryCounters>,
 }
 
 impl Default for Database {
@@ -117,6 +120,7 @@ impl Default for Database {
             statement_timeout: None,
             clock: RealClock::handle(),
             stmt_writes: StmtWrites::Whole,
+            subquery_counters: Arc::default(),
         }
     }
 }
@@ -324,6 +328,19 @@ impl Database {
         }
     }
 
+    /// How this handle's statements ran their correlated subqueries:
+    /// keyed builds versus per-row re-executions (see [`SubqueryStats`]).
+    pub fn subquery_stats(&self) -> SubqueryStats {
+        self.subquery_counters.snapshot()
+    }
+
+    /// A statement execution context over this database.
+    fn exec_ctx(&self) -> ExecCtx<'_> {
+        ExecCtx::new(&self.catalog, &self.udfs)
+            .with_optimizer(self.optimizer)
+            .with_subquery_counters(self.subquery_counters.clone())
+    }
+
     /// Execute a read-only query without `&mut self`.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         let stmt = parse_statement(sql)?;
@@ -331,8 +348,7 @@ impl Database {
             Statement::Select(s) => {
                 let token = self.statement_token();
                 swan_pool::cancel::with_current(&token, || {
-                    let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                        .with_optimizer(self.optimizer);
+                    let ctx = self.exec_ctx();
                     Ok(QueryResult::from_relation(run_select(s, &ctx, None)?))
                 })
             }
@@ -479,8 +495,7 @@ impl Database {
                 ))
             }
             Statement::Select(s) => {
-                let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                    .with_optimizer(self.optimizer);
+                let ctx = self.exec_ctx();
                 Ok(QueryResult::from_relation(run_select(s, &ctx, None)?))
             }
             Statement::CreateTable(ct) => {
@@ -535,8 +550,7 @@ impl Database {
         // INSERT ... SELECT re-shares the SELECT's rows without copying.
         let source_rows: Vec<Row> = match &ins.source {
             InsertSource::Values(rows) => {
-                let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                    .with_optimizer(self.optimizer);
+                let ctx = self.exec_ctx();
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
                     let mut vals = Vec::with_capacity(row.len());
@@ -548,8 +562,7 @@ impl Database {
                 out
             }
             InsertSource::Select(sel) => {
-                let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                    .with_optimizer(self.optimizer);
+                let ctx = self.exec_ctx();
                 run_select(sel, &ctx, None)?.rows
             }
         };
@@ -648,7 +661,7 @@ impl Database {
         // Compute new rows against an immutable snapshot, then swap in.
         // Untouched rows stay shared; only hit rows are rebuilt.
         let snapshot = self.catalog.get_required(&upd.table)?.clone();
-        let ctx = ExecCtx::new(&self.catalog, &self.udfs).with_optimizer(self.optimizer);
+        let ctx = self.exec_ctx();
         let mut new_rows = snapshot.rows.clone();
         let mut n = 0;
         let mut keys: Vec<Vec<Value>> = Vec::new();
@@ -725,8 +738,7 @@ impl Database {
         let (keep, keys, has_pk): (Vec<bool>, Vec<Vec<Value>>, bool) = {
             let table = self.catalog.get_required(&del.table)?.clone();
             let pk_cols = table.primary_key.clone();
-            let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                .with_optimizer(self.optimizer);
+            let ctx = self.exec_ctx();
             let mut keep = Vec::with_capacity(table.rows.len());
             let mut keys = Vec::new();
             for row in &table.rows {
@@ -776,6 +788,7 @@ impl Clone for Database {
             statement_timeout: self.statement_timeout,
             clock: self.clock.clone(),
             stmt_writes: self.stmt_writes.clone(),
+            subquery_counters: Arc::default(),
         }
     }
 }

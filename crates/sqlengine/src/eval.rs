@@ -2,19 +2,19 @@
 //!
 //! Evaluation happens against a [`RowCtx`] chain: the innermost scope is the
 //! current row; outer scopes (for correlated subqueries) are linked via
-//! `outer`. Subqueries are executed through [`crate::exec::run_select`];
-//! uncorrelated subqueries are executed once per statement and cached in
-//! the [`ExecCtx`](crate::exec::ExecCtx).
+//! `outer`. Subqueries are executed through [`crate::subquery`], which
+//! caches per-statement state in the [`ExecCtx`](crate::exec::ExecCtx).
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::ast::{BinaryOp, Expr, SelectStmt, UnaryOp};
+use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::{Error, Result};
-use crate::exec::{run_select, ExecCtx, Relation, SubqueryState};
+use crate::exec::ExecCtx;
 use crate::functions::{eval_builtin, glob_match, is_aggregate, like_match, ScalarUdf, UdfRegistry};
 use crate::hash::FxHashSet;
 use crate::plan::RelSchema;
+use crate::subquery::{in_subquery, subquery_relation};
 use crate::value::{UdfArgKey, Value};
 
 /// One scope of row bindings. `outer` points at the enclosing query's scope
@@ -197,21 +197,10 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let rel = subquery_relation(query, ctx, row)?;
-            let mut saw_null = false;
-            for r in &rel.rows {
-                let item = r.first().cloned().unwrap_or(Value::Null);
-                match v.sql_eq(&item) {
-                    Some(true) => return Ok(Value::Integer(!*negated as i64)),
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Integer(*negated as i64))
-            }
+            Ok(match in_subquery(&v, query, ctx, row)? {
+                Some(hit) => Value::Integer((hit != *negated) as i64),
+                None => Value::Null,
+            })
         }
 
         Expr::Exists { query, negated } => {
@@ -738,49 +727,6 @@ fn leading_number(s: &str) -> f64 {
         return 0.0;
     }
     t[..end].parse::<f64>().unwrap_or(0.0)
-}
-
-/// Execute (or fetch the cached result of) a subquery.
-///
-/// The first execution is attempted without the outer scope; if it
-/// resolves, the subquery is uncorrelated and the result is cached for the
-/// rest of the statement. If it fails with an unresolved column and an
-/// outer scope exists, the subquery is correlated and is re-executed per
-/// outer row.
-fn subquery_relation(
-    query: &SelectStmt,
-    ctx: &ExecCtx<'_>,
-    row: Option<&RowCtx<'_>>,
-) -> Result<Arc<Relation>> {
-    let key = query as *const SelectStmt as usize;
-    // Grab (or create) this subquery's single-flight cell. The map lock
-    // is held only for the lookup — never while a subquery executes
-    // (run_select can be arbitrarily expensive and recursively re-enter
-    // this cache for nested subqueries).
-    let cell = {
-        let mut cache = ctx.subqueries.lock();
-        cache.entry(key).or_default().clone()
-    };
-    // Single-flight classification: the first arriver executes the
-    // subquery without the outer scope (classifying it uncorrelated on
-    // success, correlated on an unresolved column when an outer row
-    // exists); concurrent arrivers block on the cell instead of racing a
-    // duplicate execution — an uncorrelated subquery runs exactly once
-    // per statement at every thread count. Nested subqueries use their
-    // own cells, so initialization cannot cycle.
-    let state = cell.get_or_init(|| match run_select(query, ctx, None) {
-        Ok(rel) => Ok(SubqueryState::Uncorrelated(Arc::new(rel))),
-        Err(Error::Unresolved(_)) if row.is_some() => Ok(SubqueryState::Correlated),
-        Err(e) => Err(e),
-    });
-    match state {
-        Ok(SubqueryState::Uncorrelated(rel)) => Ok(rel.clone()),
-        // Correlated: re-execute per outer row (no caching of rows).
-        Ok(SubqueryState::Correlated) => run_select(query, ctx, row).map(Arc::new),
-        // The cache is statement-scoped, so a pinned error only
-        // short-circuits re-evaluations within the failing statement.
-        Err(e) => Err(e.clone()),
-    }
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use crate::optimizer::{optimize, NeededCol, OptimizerConfig};
 use crate::plan::{plan_from, ColRef, IndexBounds, Plan, PlanJoinKind, RelSchema};
 use crate::storage::Catalog;
+use crate::subquery::{SubqueryCache, SubqueryCounters};
 use crate::value::{GroupKey, Row, UdfArgKey, Value};
 
 /// Results of one expensive UDF's invocations within a statement, keyed
@@ -60,28 +61,6 @@ impl Relation {
     }
 }
 
-/// Cached execution state of one subquery within a statement.
-#[derive(Debug, Clone)]
-pub enum SubqueryState {
-    /// Uncorrelated: executed once, result shared.
-    Uncorrelated(Arc<Relation>),
-    /// Correlated with the outer row: must re-execute per row.
-    Correlated,
-}
-
-/// The statement-scoped subquery result cache, keyed by the subquery's
-/// AST node address. `Send + Sync` (an `Arc<Mutex<..>>` map of shared
-/// cells) so morsel workers share one cache with the statement thread,
-/// letting subquery-bearing predicates run under [`Plan::Parallel`]
-/// instead of falling back to serial. Each entry is a
-/// [`std::sync::OnceLock`] **single-flight cell**: the first arriver
-/// classifies (and, for uncorrelated subqueries, executes) the subquery
-/// while concurrent arrivers block on the cell — an uncorrelated
-/// subquery therefore executes *exactly once* per statement at every
-/// thread count, never once per worker.
-pub type SubqueryCache =
-    Arc<Mutex<HashMap<usize, Arc<std::sync::OnceLock<Result<SubqueryState>>>>>>;
-
 /// Per-statement execution context.
 pub struct ExecCtx<'a> {
     pub catalog: &'a Catalog,
@@ -90,6 +69,9 @@ pub struct ExecCtx<'a> {
     /// Subquery result cache, shared across this statement's morsel
     /// workers (see [`SubqueryCache`]).
     pub subqueries: SubqueryCache,
+    /// Where the correlated-subquery path counters accumulate — the
+    /// owning [`Database`](crate::Database)'s, or a private sink.
+    pub subquery_counters: Arc<SubqueryCounters>,
     /// Statement-scoped results of expensive-UDF invocations, keyed by
     /// lowercased function name, filled by the operators' vectorized
     /// prefetch ([`BatchableCalls`]) and by per-row evaluation; every
@@ -113,6 +95,7 @@ impl<'a> ExecCtx<'a> {
                 lockrank::SUBQUERY_CACHE,
                 HashMap::new(),
             )),
+            subquery_counters: Arc::default(),
             udf_results: RefCell::new(FxHashMap::default()),
             // Inherit the statement token the session installed on this
             // thread (see `Database::execute_statement`); a context built
@@ -124,6 +107,11 @@ impl<'a> ExecCtx<'a> {
 
     pub fn with_optimizer(mut self, config: OptimizerConfig) -> Self {
         self.optimizer = config;
+        self
+    }
+
+    pub fn with_subquery_counters(mut self, counters: Arc<SubqueryCounters>) -> Self {
+        self.subquery_counters = counters;
         self
     }
 
@@ -151,7 +139,7 @@ pub fn run_select(
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
-    let (mut rel, mut keys) = match &stmt.body {
+    let (rel, keys) = match &stmt.body {
         SelectBody::Simple(core) => {
             run_core(core, &stmt.order_by, topk_hint(stmt), ctx, outer)?
         }
@@ -161,7 +149,31 @@ pub fn run_select(
             (rel, keys)
         }
     };
+    order_and_limit(stmt, rel, keys, ctx)
+}
 
+/// Run the finishing stages of a simple SELECT over an already-produced
+/// FROM/WHERE input: projection or aggregation, GROUP BY/HAVING,
+/// DISTINCT, then ORDER BY and LIMIT/OFFSET. The keyed correlated
+/// subquery path ([`crate::subquery`]) calls this once per outer row
+/// over that row's partition of the inner side.
+pub(crate) fn finish_select(
+    stmt: &SelectStmt,
+    core: &SelectCore,
+    input: &CoreInput,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&RowCtx<'_>>,
+) -> Result<Relation> {
+    let (rel, keys) = finish_core(core, &stmt.order_by, input, ctx, outer)?;
+    order_and_limit(stmt, rel, keys, ctx)
+}
+
+fn order_and_limit(
+    stmt: &SelectStmt,
+    mut rel: Relation,
+    mut keys: Vec<Vec<Value>>,
+    ctx: &ExecCtx<'_>,
+) -> Result<Relation> {
     if !stmt.order_by.is_empty() {
         let threads = crate::exec_parallel::effective_threads(&ctx.optimizer);
         sort_rows(&mut rel.rows, &mut keys, &stmt.order_by, topk_hint(stmt), threads);
@@ -408,8 +420,41 @@ fn run_core(
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<(Relation, Vec<Vec<Value>>)> {
-    let plan = plan_from(core.from.as_ref(), core.filter.as_ref())?;
     let needed = needed_columns(core, order_by);
+    let input = core_input(core, core.filter.as_ref(), needed, order_by, scan_topk, ctx, outer)?;
+    finish_core(core, order_by, &input, ctx, outer)
+}
+
+/// The FROM/WHERE output of one SELECT core, ready for the finishing
+/// stages ([`finish_core`]).
+pub(crate) struct CoreInput {
+    pub(crate) rel: Relation,
+    /// Columnar scan state when `rel` maps 1:1 onto a cached column set.
+    cols: Option<ColInput>,
+    /// Partition count for the SELECT-level operators.
+    partitions: usize,
+}
+
+impl CoreInput {
+    /// A plain row input, finished serially.
+    pub(crate) fn rows(rel: Relation) -> CoreInput {
+        CoreInput { rel, cols: None, partitions: 1 }
+    }
+}
+
+/// Plan, optimize and execute one SELECT core's FROM clause under
+/// `filter` (normally the core's own WHERE). `needed` lists the columns
+/// the finishing stages read (see [`needed_columns`]).
+pub(crate) fn core_input(
+    core: &SelectCore,
+    filter: Option<&Expr>,
+    needed: Option<Vec<NeededCol>>,
+    order_by: &[OrderItem],
+    scan_topk: Option<usize>,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&RowCtx<'_>>,
+) -> Result<CoreInput> {
+    let plan = plan_from(core.from.as_ref(), filter)?;
     let plan = optimize(plan, ctx.udfs, &ctx.optimizer, ctx.catalog, needed.as_deref())?;
     // The optimizer's parallelization rule annotates the plan root; the
     // same partition count then drives the SELECT-level operators
@@ -422,11 +467,24 @@ fn run_core(
         Some(k) => pk_order_prefix(&plan, order_by, core, ctx, k)?,
         None => None,
     };
-    let (input, cols) = match prefix {
+    let (rel, cols) = match prefix {
         Some(rel) => (rel, None),
         None => exec_plan_with_columns(&plan, ctx, outer)?,
     };
-    let cols = cols.as_ref();
+    Ok(CoreInput { rel, cols, partitions })
+}
+
+/// Finish one SELECT core over its input: projection or aggregation,
+/// HAVING and DISTINCT, plus the per-row ORDER BY keys.
+fn finish_core(
+    core: &SelectCore,
+    order_by: &[OrderItem],
+    input: &CoreInput,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&RowCtx<'_>>,
+) -> Result<(Relation, Vec<Vec<Value>>)> {
+    let CoreInput { rel: input, cols, partitions } = input;
+    let (cols, partitions) = (cols.as_ref(), *partitions);
 
     // Expand the projection into (expr, output column) pairs.
     let projection = expand_projection(&core.projection, &input.schema)?;
@@ -547,7 +605,7 @@ fn pk_order_prefix(
 /// [`Expr::walk`] cannot see). Alias/ordinal ORDER BY references resolve
 /// to projection expressions whose columns are already collected; raw
 /// names are included as-is, which at worst over-keeps.
-fn needed_columns(core: &SelectCore, order_by: &[OrderItem]) -> Option<Vec<NeededCol>> {
+pub(crate) fn needed_columns(core: &SelectCore, order_by: &[OrderItem]) -> Option<Vec<NeededCol>> {
     let mut out = Vec::new();
     let mut add = |e: &Expr| -> Option<()> {
         let mut cols = crate::optimizer::expr_columns(e)?;
@@ -1437,7 +1495,7 @@ pub(crate) fn columnar_filter(
 /// Execute a plan, also returning the columnar scan state when the plan is
 /// a bare scan or a kernel-supported filter over one (optionally under the
 /// root `Parallel` annotation) — the shapes whose output rows map 1:1 onto
-/// a cached column set. `run_core` hands the state to aggregation, which
+/// a cached column set. `core_input` hands the state to aggregation, which
 /// then evaluates GROUP BY keys and aggregate loops over columns.
 fn exec_plan_with_columns(
     plan: &Plan,

@@ -34,10 +34,11 @@
 //! with a snapshot of the statement's prefetched expensive-UDF results
 //! (so the vectorized batching of [`Plan::Batch`] keeps paying off inside
 //! workers). The statement's **subquery cache is shared** by every worker
-//! (it is `Send + Sync`, see [`crate::exec::SubqueryCache`]): an
-//! uncorrelated subquery still executes at most once per statement, and
-//! correlated subqueries re-execute per row on whichever worker owns the
-//! row — so subquery-bearing predicates parallelize like any other
+//! (it is `Send + Sync`, see [`crate::subquery::SubqueryCache`]): an
+//! uncorrelated subquery still executes at most once per statement, a
+//! keyed correlated subquery builds its partitioned inner side once, and
+//! other correlated subqueries re-execute per row on whichever worker
+//! owns the row — so subquery-bearing predicates parallelize like any other
 //! expression. Expensive-UDF *residual* join predicates still fall back
 //! to the serial join: the serial path owns the candidate-replay batching
 //! machinery, and splitting it across workers would silently degrade call
@@ -115,6 +116,7 @@ where
     let udfs = ctx.udfs;
     let optimizer = ctx.optimizer;
     let subqueries = ctx.subqueries.clone();
+    let subquery_counters = ctx.subquery_counters.clone();
     let cancel = ctx.cancel.clone();
     type NewResults = Vec<(String, Vec<(Vec<crate::value::UdfArgKey>, Value)>)>;
     let merge_sink: parking_lot::Mutex<NewResults> =
@@ -162,6 +164,7 @@ where
                 // One shared statement-wide subquery cache: uncorrelated
                 // subqueries run once no matter which worker needs them.
                 subqueries: subqueries.clone(),
+                subquery_counters: subquery_counters.clone(),
                 udf_results: RefCell::new(snapshot.clone()),
                 // Workers share the statement's cancel token: a deadline
                 // firing mid-statement stops every worker at its next

@@ -38,6 +38,12 @@
 //!   (`SWAN_THREADS=1` reproduces serial execution exactly; the
 //!   `parallel_diff` differential harness enforces equivalence at 1, 2
 //!   and 8 threads);
+//! * **set-at-a-time subqueries** ([`subquery`]): an equality-correlated
+//!   subquery builds its filtered inner side once per statement,
+//!   hash-partitioned by the correlation key, and finishes each outer
+//!   row over its partition; uncorrelated `IN` probes a hash set. Other
+//!   correlated shapes re-execute per row, and
+//!   [`Database::subquery_stats`] counts both paths;
 //! * a **concurrently shareable database** ([`SharedDb`]): an
 //!   `Arc`-cloneable handle whose sessions read O(tables) snapshots
 //!   without blocking writers, while writers serialize per table and
@@ -182,6 +188,7 @@ pub mod parser;
 pub mod plan;
 pub mod shared;
 pub mod storage;
+pub mod subquery;
 pub mod txn;
 pub mod value;
 pub mod vfs;
@@ -196,6 +203,7 @@ pub use pager::PagerStats;
 pub use shared::{CommitStats, ScriptOptions, Session, SharedDb};
 pub use txn::MvccStats;
 pub use storage::{Catalog, Column, Table, TableStats};
+pub use subquery::SubqueryStats;
 pub use value::{Row, Value};
 pub use vfs::{FaultKind, RealFs, SimFs, Torn, Vfs, VfsFile};
 pub use wal::DurabilityConfig;

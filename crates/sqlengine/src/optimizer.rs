@@ -1142,6 +1142,14 @@ mod tests {
         }
     }
 
+    /// The fixture's config: every default rule, on one thread. Rule 6
+    /// would otherwise wrap plans in `Plan::Parallel` on multi-core hosts
+    /// (`threads: 0` resolves to the machine's parallelism), so the
+    /// rewrite tests state the thread count they are about.
+    fn config() -> OptimizerConfig {
+        OptimizerConfig { threads: 1, ..Default::default() }
+    }
+
     fn plan_of(sql: &str) -> Plan {
         let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!() };
         let SelectBody::Simple(core) = s.body else { panic!() };
@@ -1149,7 +1157,7 @@ mod tests {
     }
 
     fn opt(sql: &str) -> Plan {
-        optimize(plan_of(sql), &UdfRegistry::new(), &OptimizerConfig::default(), &Fixture, None)
+        optimize(plan_of(sql), &UdfRegistry::new(), &config(), &Fixture, None)
             .unwrap()
     }
 
@@ -1190,7 +1198,7 @@ mod tests {
         let cfg = OptimizerConfig {
             pushdown: false,
             reorder_joins: false,
-            ..Default::default()
+            ..config()
         };
         let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None).unwrap();
         assert!(matches!(opt, Plan::Filter { .. }));
@@ -1219,7 +1227,7 @@ mod tests {
     fn expensive_udf_predicate_ordered_last() {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes' AND a.ax = 1");
-        let cfg = OptimizerConfig { batch_expensive_udfs: false, ..Default::default() };
+        let cfg = OptimizerConfig { batch_expensive_udfs: false, ..config() };
         let opt = optimize(p, &udfs, &cfg, &Fixture, None).unwrap();
         let Plan::Filter { predicate, .. } = opt else { panic!() };
         let parts = split_conjuncts(&predicate);
@@ -1236,7 +1244,7 @@ mod tests {
     fn expensive_filter_gets_batch_node() {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes' AND a.ax = 1");
-        let opt = optimize(p, &udfs, &OptimizerConfig::default(), &Fixture, None).unwrap();
+        let opt = optimize(p, &udfs, &config(), &Fixture, None).unwrap();
         let Plan::Filter { input, predicate } = opt else { panic!("expensive filter on top") };
         assert_eq!(expr_cost(&predicate, &udfs), 2);
         let Plan::Batch { input, calls } = *input else { panic!("Batch under it") };
@@ -1250,7 +1258,7 @@ mod tests {
     fn batching_disabled_leaves_plan_unmarked() {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes'");
-        let cfg = OptimizerConfig { batch_expensive_udfs: false, ..Default::default() };
+        let cfg = OptimizerConfig { batch_expensive_udfs: false, ..config() };
         let opt = optimize(p, &udfs, &cfg, &Fixture, None).unwrap();
         fn has_batch(p: &Plan) -> bool {
             match p {
@@ -1268,7 +1276,7 @@ mod tests {
     fn cheap_filter_not_marked() {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE a.ax = 1");
-        let opt = optimize(p, &udfs, &OptimizerConfig::default(), &Fixture, None).unwrap();
+        let opt = optimize(p, &udfs, &config(), &Fixture, None).unwrap();
         assert!(matches!(opt, Plan::Filter { .. }), "got {opt:?}");
     }
 
@@ -1390,7 +1398,7 @@ mod tests {
         let p = plan_of(
             "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN tiny t ON d.id = t.id",
         );
-        let cfg = OptimizerConfig { reorder_joins: false, ..Default::default() };
+        let cfg = OptimizerConfig { reorder_joins: false, ..config() };
         let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None).unwrap();
         let Plan::Join { left, .. } = opt else { panic!() };
         let Plan::Join { left: ll, .. } = *left else { panic!() };
@@ -1440,7 +1448,7 @@ mod tests {
     }
 
     fn pk_opt(sql: &str) -> Plan {
-        let cfg = OptimizerConfig { index_scan: true, ..Default::default() };
+        let cfg = OptimizerConfig { index_scan: true, ..config() };
         optimize(plan_of(sql), &UdfRegistry::new(), &cfg, &PkFixture, None).unwrap()
     }
 
@@ -1550,7 +1558,7 @@ mod tests {
 
     #[test]
     fn index_scan_disabled_reproduces_scan_plan() {
-        let cfg = OptimizerConfig { index_scan: false, ..Default::default() };
+        let cfg = OptimizerConfig { index_scan: false, ..config() };
         let p = plan_of("SELECT * FROM k WHERE id = 42");
         let opt = optimize(p, &UdfRegistry::new(), &cfg, &PkFixture, None).unwrap();
         let Plan::Filter { input, .. } = opt else { panic!("got {opt:?}") };

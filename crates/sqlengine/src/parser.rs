@@ -607,7 +607,7 @@ impl Parser {
                 self.expect_symbol(Symbol::RParen)?;
                 return Ok(Expr::InSubquery {
                     expr: Box::new(left),
-                    query: Box::new(query),
+                    query: std::sync::Arc::new(query),
                     negated,
                 });
             }
@@ -741,7 +741,7 @@ impl Parser {
                     self.expect_symbol(Symbol::LParen)?;
                     let query = self.select_stmt()?;
                     self.expect_symbol(Symbol::RParen)?;
-                    Ok(Expr::Exists { query: Box::new(query), negated: false })
+                    Ok(Expr::Exists { query: std::sync::Arc::new(query), negated: false })
                 }
                 "NOT" => {
                     // NOT EXISTS reaches here via primary when written after
@@ -760,7 +760,7 @@ impl Parser {
                 if self.at_keyword("SELECT") {
                     let query = self.select_stmt()?;
                     self.expect_symbol(Symbol::RParen)?;
-                    return Ok(Expr::ScalarSubquery(Box::new(query)));
+                    return Ok(Expr::ScalarSubquery(std::sync::Arc::new(query)));
                 }
                 let inner = self.expr()?;
                 self.expect_symbol(Symbol::RParen)?;

@@ -836,3 +836,265 @@ fn small_tables_stay_serial_under_default_threshold() {
     .unwrap();
     assert!(!matches!(optimized, Plan::Parallel { .. }));
 }
+
+// ---- keyed correlated subqueries ≡ per-row execution ------------------
+
+/// Outer table `o` and inner table `i` for the keyed-subquery axis. Keys
+/// carry NULLs on both sides, `i.r` holds `Real` keys that equal integer
+/// outer keys (`Integer(1) = Real(1.0)`) or miss them by a half, and
+/// `i.v` holds NULLs so `NOT IN` and `SUM` see unknowns.
+fn keyed_db(outer: &[(i64, i64)], inner: &[(i64, i64, i64)]) -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE o (id INTEGER PRIMARY KEY, k INTEGER, t TEXT, k2 INTEGER)")
+        .unwrap();
+    db.execute(
+        "CREATE TABLE i (id INTEGER PRIMARY KEY, k INTEGER, r REAL, t TEXT, k2 INTEGER, v INTEGER)",
+    )
+    .unwrap();
+    let key = |raw: i64| match raw.rem_euclid(9) {
+        0 => Value::Null,
+        n => Value::Integer(n % 6),
+    };
+    let text = |raw: i64| match raw.rem_euclid(5) {
+        0 => Value::Null,
+        n => Value::text(["", "a", "b", "ab"][n as usize - 1]),
+    };
+    {
+        let o = db.catalog_mut().get_mut("o").unwrap();
+        for (id, &(a, b)) in outer.iter().enumerate() {
+            let k2 = key((a / 9).wrapping_add(b));
+            o.insert_row(vec![Value::Integer(id as i64), key(a), text(b), k2]).unwrap();
+        }
+        let i = db.catalog_mut().get_mut("i").unwrap();
+        for (id, &(a, b, c)) in inner.iter().enumerate() {
+            let r = match key(b) {
+                Value::Integer(n) if c % 2 == 0 => Value::Real(n as f64),
+                Value::Integer(n) => Value::Real(n as f64 + 0.5),
+                other => other,
+            };
+            let v = match c.rem_euclid(7) {
+                0 => Value::Null,
+                n => Value::Integer(n % 4),
+            };
+            i.insert_row(vec![Value::Integer(id as i64), key(a), r, text(b), key(c), v])
+                .unwrap();
+        }
+    }
+    db
+}
+
+/// Keyed-path query templates. Each `{{inner = outer}}` marks a
+/// correlation conjunct: the keyed form writes it as `=`, the reference
+/// form as `NOT (inner <> outer)` — the same predicate in three-valued
+/// logic, which the keyed rule does not match, so the reference always
+/// runs per row.
+const KEYED_SHAPES: &[&str] = &[
+    // COUNT over NULL keys on both sides; empty partitions count 0.
+    "SELECT o.id, (SELECT COUNT(*) FROM i WHERE {{i.k = o.k}}) FROM o ORDER BY o.id",
+    // Integer outer keys against Real inner keys; SUM of an empty
+    // partition is NULL.
+    "SELECT o.id, (SELECT SUM(i.v) FROM i WHERE {{i.r = o.k}}) FROM o ORDER BY o.id",
+    // Text keys under EXISTS and NOT EXISTS, with a local conjunct.
+    "SELECT o.id FROM o WHERE EXISTS (SELECT 1 FROM i WHERE {{i.t = o.t}} AND i.v > 0) \
+     ORDER BY o.id",
+    "SELECT o.id FROM o WHERE NOT EXISTS (SELECT 1 FROM i WHERE {{i.t = o.t}}) ORDER BY o.id",
+    // NOT IN / IN over partitions holding NULLs: unknown rows drop out.
+    "SELECT o.id FROM o WHERE o.k2 NOT IN (SELECT i.v FROM i WHERE {{i.k = o.k}}) ORDER BY o.id",
+    "SELECT o.id, o.k2 IN (SELECT i.v FROM i WHERE {{i.k = o.k}}) FROM o ORDER BY o.id",
+    // The formula_1 q22 shape: a correlated COUNT compared in WHERE.
+    "SELECT o.t FROM o WHERE (SELECT COUNT(*) FROM i WHERE {{i.k = o.id}} AND i.v = 1) > 1",
+    // Keyed subqueries in WHERE and in the projection of one statement:
+    // each keeps its own cache cell.
+    "SELECT o.id, (SELECT COUNT(*) FROM i WHERE {{i.k = o.k}}) FROM o \
+     WHERE (SELECT COUNT(*) FROM i WHERE {{i.k = o.k}} AND i.v > 2) = 0 ORDER BY o.id",
+    // Empty partitions under COUNT and SUM after a local filter.
+    "SELECT o.id, (SELECT COUNT(*) FROM i WHERE {{i.k = o.k}} AND i.v > 2), \
+     (SELECT SUM(i.v) FROM i WHERE {{i.k = o.k}} AND i.v > 2) FROM o ORDER BY o.id",
+    // GROUP BY + HAVING inside the subquery.
+    "SELECT o.id FROM o WHERE EXISTS (SELECT i.v FROM i WHERE {{i.k = o.k}} \
+     GROUP BY i.v HAVING COUNT(*) > 1) ORDER BY o.id",
+    "SELECT o.id, (SELECT i.v FROM i WHERE {{i.k = o.k}} GROUP BY i.v \
+     ORDER BY COUNT(*) DESC, i.v LIMIT 1) FROM o ORDER BY o.id",
+    // ORDER BY … LIMIT/OFFSET with ties: the stable-sort prefix.
+    "SELECT o.id, (SELECT i.id FROM i WHERE {{i.k = o.k}} ORDER BY i.v DESC LIMIT 1 OFFSET 1) \
+     FROM o ORDER BY o.id",
+    // Unordered first row and GROUP_CONCAT: partition order must be the
+    // inner scan order.
+    "SELECT o.id, (SELECT i.id FROM i WHERE {{i.t = o.t}}), \
+     (SELECT GROUP_CONCAT(i.id) FROM i WHERE {{i.k = o.k}}) FROM o ORDER BY o.id",
+    // Two correlation columns, one written outer-side first.
+    "SELECT o.id, (SELECT COUNT(*) FROM i WHERE {{i.k = o.k}} AND {{o.k2 = i.k2}}) \
+     FROM o ORDER BY o.id",
+    // An outer key expression, DISTINCT, and an outer column in the
+    // subquery's projection.
+    "SELECT o.id, (SELECT COUNT(DISTINCT i.v) FROM i WHERE {{i.k = o.k + 1}}), \
+     (SELECT MAX(i.v) + o.id FROM i WHERE {{i.k2 = o.k2}}) FROM o ORDER BY o.id",
+    // A join inside the subquery: its rows must come out in the per-row
+    // order.
+    "SELECT o.id, (SELECT GROUP_CONCAT(i.id) FROM i JOIN o o2 ON i.k = o2.id \
+     WHERE {{i.k2 = o.k}}) FROM o ORDER BY o.id",
+    // A DISTINCT outer projection over keyed scalars.
+    "SELECT DISTINCT (SELECT COUNT(*) FROM i WHERE {{i.t = o.t}}) FROM o",
+];
+
+/// Render a template in its keyed (`=`) or per-row reference form.
+fn keyed_form(template: &str, keyed: bool) -> String {
+    let mut out = String::new();
+    let mut rest = template;
+    while let Some(start) = rest.find("{{") {
+        let end = rest[start..].find("}}").expect("closed marker") + start;
+        let (inner, outer) = rest[start + 2..end].split_once(" = ").expect("an equality");
+        out.push_str(&rest[..start]);
+        if keyed {
+            out.push_str(&format!("{inner} = {outer}"));
+        } else {
+            out.push_str(&format!("NOT ({inner} <> {outer})"));
+        }
+        rest = &rest[end + 2..];
+    }
+    out.push_str(rest);
+    out
+}
+
+proptest! {
+    /// Keyed ≡ per-row: every keyed shape returns the reference's rows
+    /// byte for byte at 1 and 8 threads, the keyed form never
+    /// re-executes per row, and the reference form never builds.
+    #[test]
+    fn keyed_subqueries_match_per_row_execution(
+        outer in proptest::collection::vec((any::<i64>(), any::<i64>()), 0..24),
+        inner in proptest::collection::vec((any::<i64>(), any::<i64>(), any::<i64>()), 0..40),
+    ) {
+        let run = |sql: &str, threads: usize| {
+            let mut db = keyed_db(&outer, &inner);
+            db.set_optimizer(if threads == 1 {
+                serial_config()
+            } else {
+                parallel_config(threads)
+            });
+            let result = db.query(sql).unwrap_or_else(|e| panic!("{threads}-thread {sql}: {e}"));
+            (result, db.subquery_stats())
+        };
+        let mut builds = 0;
+        for template in KEYED_SHAPES {
+            let reference_sql = keyed_form(template, false);
+            let keyed_sql = keyed_form(template, true);
+            let (reference, ref_stats) = run(&reference_sql, 1);
+            prop_assert_eq!(ref_stats.keyed_builds, 0, "{}", reference_sql);
+            for threads in [1, 8] {
+                let (keyed, stats) = run(&keyed_sql, threads);
+                assert_equivalent(&keyed_sql, threads, &reference, &keyed);
+                prop_assert_eq!(stats.correlated_reruns, 0, "{} at {} threads", keyed_sql, threads);
+                builds += stats.keyed_builds;
+            }
+        }
+        // An empty inner table resolves without the outer row (it is
+        // then uncorrelated); otherwise the keyed path must serve.
+        if !outer.is_empty() && !inner.is_empty() {
+            prop_assert!(builds > 0);
+        }
+    }
+}
+
+/// Shapes outside the keyed rule stay on the per-row path: no build,
+/// one re-execution per outer row, rows unchanged.
+#[test]
+fn declined_shapes_stay_per_row() {
+    let outer: Vec<(i64, i64)> = (0..30).map(|n| (n * 7 + 1, n)).collect();
+    let inner: Vec<(i64, i64, i64)> = (0..50).map(|n| (n * 5 + 2, n * 3, n)).collect();
+    let declined = [
+        // Non-equality correlation.
+        "SELECT o.id, (SELECT COUNT(*) FROM i WHERE i.k < o.k) FROM o ORDER BY o.id",
+        // An outer reference in JOIN ON.
+        "SELECT o.id, (SELECT COUNT(*) FROM i JOIN o o2 ON o2.id = i.k AND o2.k = o.k) \
+         FROM o ORDER BY o.id",
+        // A derived table in FROM.
+        "SELECT o.id, (SELECT COUNT(*) FROM (SELECT 1) z, i WHERE i.k = o.k) FROM o ORDER BY o.id",
+        // A compound body.
+        "SELECT o.id FROM o WHERE EXISTS (SELECT 1 FROM i WHERE i.k = o.k \
+         UNION SELECT 1 FROM i WHERE i.k2 = o.k2) ORDER BY o.id",
+        // An outer reference mixed into a non-key conjunct.
+        "SELECT o.id, (SELECT COUNT(*) FROM i WHERE i.k = o.k AND (i.v = 1 OR o.k2 = 2)) \
+         FROM o ORDER BY o.id",
+    ];
+    for sql in declined {
+        let mut db = keyed_db(&outer, &inner);
+        db.set_optimizer(serial_config());
+        db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let stats = db.subquery_stats();
+        assert_eq!(stats.keyed_builds, 0, "{sql}");
+        assert_eq!(stats.correlated_reruns, outer.len() as u64, "{sql}");
+    }
+}
+
+/// A subquery holding an expensive UDF stays on the per-row path: the
+/// keyed rule declines it, so serial execution pays exactly the
+/// per-row model calls, and no thread count builds it keyed.
+#[test]
+fn expensive_udf_subquery_stays_per_row() {
+    let outer: Vec<(i64, i64)> = (0..30).map(|n| (n * 7 + 1, n)).collect();
+    let inner: Vec<(i64, i64, i64)> = (0..50).map(|n| (n * 5 + 2, n * 3, n)).collect();
+    let template = "SELECT o.id, (SELECT COUNT(*) FROM i WHERE {{i.k = o.k}} \
+                    AND slow_tag(i.v) LIKE 'v%') FROM o ORDER BY o.id";
+    let run = |sql: &str, threads: usize| {
+        let mut db = keyed_db(&outer, &inner);
+        let udf = Arc::new(TagUdf::default());
+        db.register_udf(udf.clone());
+        db.set_optimizer(if threads == 1 { serial_config() } else { parallel_config(threads) });
+        let result = db.query(sql).unwrap();
+        (result, db.subquery_stats(), udf.tuples.load(Ordering::SeqCst))
+    };
+    let keyed_sql = keyed_form(template, true);
+    let (reference, _, reference_calls) = run(&keyed_form(template, false), 1);
+    assert!(reference_calls > 0);
+    for threads in [1, 8] {
+        let (rows, stats, calls) = run(&keyed_sql, threads);
+        assert_equivalent(&keyed_sql, threads, &reference, &rows);
+        assert_eq!(stats.keyed_builds, 0, "an expensive UDF keeps the per-row path");
+        assert_eq!(stats.correlated_reruns, outer.len() as u64);
+        // Morsel workers keep private UDF result stores, so only the
+        // serial count is exact.
+        if threads == 1 {
+            assert_eq!(calls, reference_calls, "model calls unchanged");
+        }
+    }
+}
+
+/// The formula_1 q22 gold shape takes the keyed path: one build per
+/// statement, no per-row re-execution, at 1 and 8 threads.
+#[test]
+fn q22_shape_builds_once_per_statement() {
+    let sql = "SELECT T1.code FROM drivers T1 WHERE \
+               (SELECT COUNT(*) FROM results r WHERE r.driver_id = T1.id AND r.position = 1) > 3";
+    for threads in [1, 8] {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE drivers (id INTEGER PRIMARY KEY, code TEXT)").unwrap();
+        db.execute(
+            "CREATE TABLE results (id INTEGER PRIMARY KEY, driver_id INTEGER, position INTEGER)",
+        )
+        .unwrap();
+        {
+            let d = db.catalog_mut().get_mut("drivers").unwrap();
+            for n in 0..40i64 {
+                d.insert_row(vec![Value::Integer(n), Value::text(format!("D{n}"))]).unwrap();
+            }
+            let r = db.catalog_mut().get_mut("results").unwrap();
+            for n in 0..2000i64 {
+                r.insert_row(vec![
+                    Value::Integer(n),
+                    Value::Integer(n % 40),
+                    Value::Integer((n / 40) % (1 + n % 5)),
+                ])
+                .unwrap();
+            }
+        }
+        db.set_optimizer(if threads == 1 { serial_config() } else { parallel_config(threads) });
+        let rows = db.query(sql).unwrap();
+        assert!(!rows.rows.is_empty() && rows.rows.len() < 40, "the filter must discriminate");
+        let stats = db.subquery_stats();
+        assert_eq!(stats.keyed_builds, 1, "one keyed build at {threads} threads");
+        assert_eq!(stats.correlated_reruns, 0, "no per-row re-execution at {threads} threads");
+        db.query(sql).unwrap();
+        assert_eq!(db.subquery_stats().keyed_builds, 2, "one build per statement");
+    }
+}

@@ -11,7 +11,10 @@
 #      panic-family calls on commit/recovery paths, undocumented
 #      `unsafe`, unranked locks. Any finding fails the gate before a
 #      single test runs;
-#   1. tier-1: release build + workspace test suite (ROADMAP contract);
+#   1. tier-1: release build + workspace test suite (ROADMAP contract),
+#      then the workspace suite again at SWAN_THREADS=1, 2 and 8 so no
+#      test depends on the host's core count (the default `threads: 0`
+#      resolves to SWAN_THREADS, else the machine's parallelism);
 #   2. the differential harness (crates/sqlengine/tests/parallel_diff.rs)
 #      re-run explicitly with SWAN_THREADS=1 and SWAN_THREADS=8 — the
 #      env var drives every default-config statement through the serial
@@ -58,6 +61,11 @@ cargo build --release
 
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
+
+for threads in 1 2 8; do
+    echo "== workspace tests @ SWAN_THREADS=$threads =="
+    SWAN_THREADS=$threads cargo test --workspace -q
+done
 
 echo "== differential harness @ SWAN_THREADS=1 (serial engine) =="
 SWAN_THREADS=1 cargo test -q -p swan-sqlengine --test parallel_diff
