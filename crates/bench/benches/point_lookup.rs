@@ -1,18 +1,21 @@
 //! Primary-key serving on a 1M-row table: point probes, small ranges and
 //! pk ORDER BY … LIMIT top-k, each run twice — `index` (the planner's
-//! `IndexScan` / ordered-pk paths) and `scan` (`index_scan: false`, the
-//! full-scan engine those rewrites replace) — so the speedup *is* the
-//! pairwise ratio, measured interleaved in one process.
+//! `IndexScan` / ordered-pk paths) and `scan` (the same query over
+//! `id + 0`, an expression no index serves, so it runs the full-scan
+//! pipeline those rewrites replace) — so the speedup *is* the pairwise
+//! ratio, measured interleaved in one process.
 //!
-//! Two non-criterion tables follow the timed runs:
+//! Three non-criterion tables follow the timed runs:
 //!
 //! * **headline ratio** — wall-clock index-vs-scan ratio for the point
 //!   probe; the bench asserts the ≥10× contract, so a planner regression
 //!   that stops engaging the index fails the run instead of quietly
 //!   printing slower numbers;
+//! * **ordered-pk memory** — bytes of the sorted row-index permutation
+//!   that serves ranges and top-k (the hash index serves point probes);
 //! * **checkpoint write amplification** — bytes written to the page file
-//!   by a checkpoint after k point updates vs the full-image checkpoint,
-//!   counted on SimFs. The incremental figure is O(k) pages; the ratio
+//!   by a checkpoint after k point updates vs the first checkpoint, which
+//!   writes every page of the table, counted on SimFs. The incremental figure is O(k) pages; the ratio
 //!   is the write amplification the paged store removed.
 //!
 //! Reference numbers live in crates/sqlengine/PERF.md ("Paged storage").
@@ -26,13 +29,11 @@ use swan_sqlengine::{Database, DurabilityConfig, OptimizerConfig, SimFs, Value};
 
 const ROWS: usize = 1_000_000;
 
-const MODES: &[(&str, bool)] = &[("index", true), ("scan", false)];
-
 /// 1M rows of (pk, group, measure), served from memory (serving never
 /// touches the pager; durability is benched separately below).
-fn build_db(index_scan: bool) -> Database {
+fn build_db() -> Database {
     let mut db = Database::new();
-    db.set_optimizer(OptimizerConfig { index_scan, threads: 1, ..Default::default() });
+    db.set_optimizer(OptimizerConfig { threads: 1, ..Default::default() });
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, val REAL)").unwrap();
     let t = db.catalog_mut().get_mut("t").unwrap();
     for i in 0..ROWS {
@@ -46,44 +47,49 @@ fn build_db(index_scan: bool) -> Database {
     db
 }
 
-const POINT: &str = "SELECT val FROM t WHERE id = 987654";
-const RANGE: &str = "SELECT id, val FROM t WHERE id BETWEEN 500000 AND 500063";
-const TOPK: &str = "SELECT id, val FROM t ORDER BY id LIMIT 10";
+/// `(label, primary-key operand)`: `scan` wraps the key in `id + 0`,
+/// an expression no index rewrite recognizes.
+const MODES: &[(&str, &str)] = &[("index", "id"), ("scan", "id + 0")];
+
+/// `(bench name, query with {key} standing for the mode's operand)`.
+const QUERIES: &[(&str, &str)] = &[
+    ("pk_eq_1m", "SELECT val FROM t WHERE {key} = 987654"),
+    ("pk_between_64_of_1m", "SELECT id, val FROM t WHERE {key} BETWEEN 500000 AND 500063"),
+    ("pk_order_limit_10_of_1m", "SELECT id, val FROM t ORDER BY {key} LIMIT 10"),
+];
 
 fn bench_point_lookup(c: &mut Criterion) {
-    for &(label, index_scan) in MODES {
-        let db = build_db(index_scan);
-        c.bench_function(&format!("point_lookup/pk_eq_1m/{label}"), |b| {
-            b.iter(|| black_box(db.query(POINT).unwrap()))
-        });
-        c.bench_function(&format!("point_lookup/pk_between_64_of_1m/{label}"), |b| {
-            b.iter(|| black_box(db.query(RANGE).unwrap()))
-        });
-        c.bench_function(&format!("point_lookup/pk_order_limit_10_of_1m/{label}"), |b| {
-            b.iter(|| black_box(db.query(TOPK).unwrap()))
-        });
+    let db = build_db();
+    for &(label, key) in MODES {
+        for &(name, query) in QUERIES {
+            let sql = query.replace("{key}", key);
+            c.bench_function(&format!("point_lookup/{name}/{label}"), |b| {
+                b.iter(|| black_box(db.query(&sql).unwrap()))
+            });
+        }
     }
 
-    headline_ratio();
+    headline_ratio(&db);
+    ordered_pk_memory(&db);
     checkpoint_write_amplification();
 }
 
 /// Wall-clock point-probe ratio with the ≥10× floor asserted.
-fn headline_ratio() {
-    let indexed = build_db(true);
-    let scanned = build_db(false);
-    let time = |db: &Database, iters: u32| {
+fn headline_ratio(db: &Database) {
+    let point = |key: &str| QUERIES[0].1.replace("{key}", key);
+    let (index_point, scan_point) = (point(MODES[0].1), point(MODES[1].1));
+    let time = |sql: &str, iters: u32| {
         let start = Instant::now();
         for _ in 0..iters {
-            black_box(db.query(POINT).unwrap());
+            black_box(db.query(sql).unwrap());
         }
         start.elapsed().as_secs_f64() / iters as f64
     };
     // Warm both paths, then measure: many probe iterations, fewer scans.
-    time(&indexed, 10);
-    time(&scanned, 2);
-    let probe = time(&indexed, 2000);
-    let scan = time(&scanned, 20);
+    time(&index_point, 10);
+    time(&scan_point, 2);
+    let probe = time(&index_point, 2000);
+    let scan = time(&scan_point, 20);
     let ratio = scan / probe;
     println!(
         "point_lookup/headline: pk probe {:.2}us vs full scan {:.0}us on {ROWS} rows = {ratio:.0}x",
@@ -97,19 +103,26 @@ fn headline_ratio() {
     );
 }
 
+/// Heap bytes of the table's ordered-pk permutation (built by the top-k
+/// and range runs above): one `u32` row index per row.
+fn ordered_pk_memory(db: &Database) {
+    let ord = db.catalog().get("t").unwrap().ordered_pk().unwrap();
+    let bytes = ord.capacity() * std::mem::size_of::<u32>();
+    println!(
+        "point_lookup/ordered_pk_memory: {bytes} B for {ROWS} rows = {:.2} B/row",
+        bytes as f64 / ROWS as f64,
+    );
+}
+
 /// Page-file bytes written by a checkpoint after k point updates vs the
-/// full-image checkpoint, counted on SimFs.
+/// first (whole-table) checkpoint, counted on SimFs.
 fn checkpoint_write_amplification() {
     const WAL: &str = "/sim/bench.wal";
     const TABLE_ROWS: usize = 50_000;
     const K: usize = 3;
 
     let fs = SimFs::new();
-    let config = DurabilityConfig {
-        checkpoint_bytes: u64::MAX,
-        paged: true,
-        ..Default::default()
-    };
+    let config = DurabilityConfig { checkpoint_bytes: u64::MAX, ..Default::default() };
     let mut db =
         Database::open_on(Arc::new(fs.clone()), PathBuf::from(WAL), config).unwrap();
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, val REAL)").unwrap();

@@ -268,18 +268,17 @@ impl Database {
     }
 
     /// Force a checkpoint now (durable databases only; no-op in memory).
-    /// With the pager enabled this flushes only the pages dirtied since
-    /// the last checkpoint — O(dirty), not O(database).
+    /// It flushes only the pages dirtied since the last checkpoint —
+    /// O(dirty), not O(database).
     pub fn checkpoint(&self) -> Result<()> {
         let Some(wal) = &self.wal else { return Ok(()) };
         wal.lock().checkpoint(&self.catalog)
     }
 
     /// Page-store counters: durable epoch, allocated pages, buffer-pool
-    /// hit/miss/eviction stats. `None` without a pager (in-memory
-    /// database or `SWAN_PAGER=0`).
+    /// hit/miss/eviction stats. `None` only for an in-memory database.
     pub fn pager_stats(&self) -> Option<crate::pager::PagerStats> {
-        self.wal.as_ref().and_then(|w| w.lock().pager_stats())
+        self.wal.as_ref().map(|w| w.lock().pager_stats())
     }
 
     /// Execute one statement.

@@ -554,9 +554,7 @@ fn pk_order_prefix(
     ctx: &ExecCtx<'_>,
     k: usize,
 ) -> Result<Option<Relation>> {
-    // Gated with the planner's index-scan rule so SWAN_PAGER=0 reproduces
-    // the legacy full-scan execution exactly.
-    if !ctx.optimizer.index_scan || order_by.is_empty() {
+    if order_by.is_empty() {
         return Ok(None);
     }
     // A bare scan (possibly under a parallelization annotation) means no

@@ -73,21 +73,20 @@
 //!   replays the longest intact prefix, truncates torn tails, and
 //!   auto-checkpoints compact the log past a configurable size
 //!   ([`DurabilityConfig`]) — see [`wal`] and [`txn`];
-//! * **paged on-disk storage** ([`pager`], [`btree`], [`bufpool`];
-//!   [`DurabilityConfig::paged`], default on, `SWAN_PAGER=0` flips it):
-//!   durable state lives in 4 KiB slotted pages (id/epoch/type/CRC
-//!   header, double-slot shadow paging) behind a buffer pool with
-//!   pinned-page accounting and clock eviction; tables with a primary
-//!   key are B-trees keyed by the encoded pk, commits apply row patches
-//!   as tree upserts, and a checkpoint flushes only **dirty** pages —
-//!   O(changes), not O(database) — before committing the slot flip
-//!   through an atomically renamed meta file. The planner serves
-//!   `WHERE pk = ?` as an index point probe, pk ranges as ordered
-//!   B-tree-order scans and `ORDER BY pk LIMIT k` without sorting
-//!   ([`OptimizerConfig::index_scan`]); `SWAN_PAGER=0` is bit-for-bit
-//!   the legacy whole-image engine, and `tests/paged_storage.rs`
-//!   asserts the O(k·pages) checkpoint byte bound (PERF.md, "Paged
-//!   storage", for the measured ~870× point-probe speedup on 1M rows);
+//! * **paged on-disk storage** ([`pager`], [`btree`], [`bufpool`]), the
+//!   one durable format: durable state lives in 4 KiB slotted pages
+//!   (id/epoch/type/CRC header, double-slot shadow paging) behind a
+//!   buffer pool with pinned-page accounting and clock eviction; tables
+//!   with a primary key are B-trees keyed by the encoded pk, commits
+//!   apply row patches as tree upserts, and a checkpoint flushes only
+//!   **dirty** pages — O(changes), not O(database) — before committing
+//!   the slot flip through an atomically renamed meta file
+//!   (`tests/paged_storage.rs` asserts the O(k·pages) byte bound). Query serving reads
+//!   memory, never the pager: the planner serves `WHERE pk = ?` as a
+//!   probe of the in-memory PK hash index, and pk ranges and
+//!   `ORDER BY pk LIMIT k` from the sorted row permutation
+//!   [`Table::ordered_pk`], without sorting (PERF.md, "Paged storage",
+//!   for the measured ~870× point-probe speedup on 1M rows);
 //! * **group commit** (on by default, [`DurabilityConfig::group_commit`]):
 //!   concurrent [`SharedDb`] committers enqueue their framed record
 //!   groups and one leader appends the whole batch with a **single

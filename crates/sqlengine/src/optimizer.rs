@@ -69,16 +69,6 @@ pub struct OptimizerConfig {
     /// oracle). Defaults to the `SWAN_COLUMNAR` environment variable
     /// (unset or anything but `0` = on).
     pub columnar: bool,
-    /// Rewrite `Filter(Scan)` to `Filter(IndexScan)` when the predicate
-    /// pins the primary key to literals: all-column equality becomes an
-    /// O(1) hash probe, a range on the first PK column becomes an
-    /// O(log n + k) binary search — `WHERE pk = ?` and
-    /// `WHERE pk BETWEEN ? AND ?` stop scanning the table. The full
-    /// predicate stays in the filter above, so the rewrite never changes
-    /// results. Defaults to the `SWAN_PAGER` environment variable (unset
-    /// or anything but `0` = on), so `SWAN_PAGER=0` reproduces the
-    /// scan-only planner bit-for-bit.
-    pub index_scan: bool,
 }
 
 /// Default for [`OptimizerConfig::parallel_threshold`]: roughly four
@@ -97,7 +87,6 @@ impl Default for OptimizerConfig {
             threads: 0,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             columnar: default_columnar(),
-            index_scan: default_index_scan(),
         }
     }
 }
@@ -108,15 +97,6 @@ impl Default for OptimizerConfig {
 fn default_columnar() -> bool {
     static COLUMNAR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *COLUMNAR.get_or_init(|| std::env::var("SWAN_COLUMNAR").map_or(true, |v| v != "0"))
-}
-
-/// Default for [`OptimizerConfig::index_scan`]: the `SWAN_PAGER`
-/// environment variable, read once per process (`0` = off, anything else
-/// or unset = on) — the same switch that gates the paged storage layer,
-/// so one variable flips the whole PR's behavior for differential runs.
-fn default_index_scan() -> bool {
-    static INDEX_SCAN: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *INDEX_SCAN.get_or_init(|| std::env::var("SWAN_PAGER").map_or(true, |v| v != "0"))
 }
 
 /// A column the SELECT level reads: `(qualifier, name)`, matched
@@ -139,7 +119,7 @@ pub fn optimize(
     let plan = if config.pushdown { pushdown(plan, provider)? } else { plan };
     let plan = if config.reorder_joins { reorder_joins(plan, provider)? } else { plan };
     let plan = if config.order_expensive_last { order_filters(plan, udfs) } else { plan };
-    let plan = if config.index_scan { index_scans(plan, provider) } else { plan };
+    let plan = use_pk_index(plan, provider);
     let plan = match (config.prune_columns, needed) {
         (true, Some(needed)) => prune_columns(plan, Some(needed.to_vec()), provider)?,
         _ => plan,
@@ -799,10 +779,10 @@ pub fn expr_cost(e: &Expr, udfs: &UdfRegistry) -> u8 {
 /// rewrite is unconditionally sound — any probe imprecision (group-key
 /// equality being coarser than SQL `=`, NULLs under a sole upper bound)
 /// is re-checked row by row.
-fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
+fn use_pk_index(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
     match plan {
         Plan::Filter { input, predicate } => {
-            let input = index_scans(*input, provider);
+            let input = use_pk_index(*input, provider);
             if let Plan::Scan { table, qualifier } = &input {
                 if let Some(bounds) = pk_bounds(&predicate, table, qualifier, provider) {
                     return Plan::Filter {
@@ -818,20 +798,20 @@ fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
             Plan::Filter { input: Box::new(input), predicate }
         }
         Plan::Join { left, right, kind, on, emit } => Plan::Join {
-            left: Box::new(index_scans(*left, provider)),
-            right: Box::new(index_scans(*right, provider)),
+            left: Box::new(use_pk_index(*left, provider)),
+            right: Box::new(use_pk_index(*right, provider)),
             kind,
             on,
             emit,
         },
         Plan::Batch { input, calls } => {
-            Plan::Batch { input: Box::new(index_scans(*input, provider)), calls }
+            Plan::Batch { input: Box::new(use_pk_index(*input, provider)), calls }
         }
         Plan::Permute { input, mapping } => {
-            Plan::Permute { input: Box::new(index_scans(*input, provider)), mapping }
+            Plan::Permute { input: Box::new(use_pk_index(*input, provider)), mapping }
         }
         Plan::Parallel { input, partitions } => {
-            Plan::Parallel { input: Box::new(index_scans(*input, provider)), partitions }
+            Plan::Parallel { input: Box::new(use_pk_index(*input, provider)), partitions }
         }
         other => other,
     }
@@ -1448,8 +1428,7 @@ mod tests {
     }
 
     fn pk_opt(sql: &str) -> Plan {
-        let cfg = OptimizerConfig { index_scan: true, ..config() };
-        optimize(plan_of(sql), &UdfRegistry::new(), &cfg, &PkFixture, None).unwrap()
+        optimize(plan_of(sql), &UdfRegistry::new(), &config(), &PkFixture, None).unwrap()
     }
 
     /// Unwrap `Filter(IndexScan)` — the rewrite must always keep the full
@@ -1556,11 +1535,11 @@ mod tests {
         assert!(matches!(*input, Plan::Scan { .. }), "got {input:?}");
     }
 
+    /// An expression over the key is not a key: `id + 0 = 42` keeps the
+    /// plain scan (the scan baseline the point-lookup bench measures).
     #[test]
-    fn index_scan_disabled_reproduces_scan_plan() {
-        let cfg = OptimizerConfig { index_scan: false, ..config() };
-        let p = plan_of("SELECT * FROM k WHERE id = 42");
-        let opt = optimize(p, &UdfRegistry::new(), &cfg, &PkFixture, None).unwrap();
+    fn pk_expression_keeps_scan_plan() {
+        let opt = pk_opt("SELECT * FROM k WHERE id + 0 = 42");
         let Plan::Filter { input, .. } = opt else { panic!("got {opt:?}") };
         assert!(matches!(*input, Plan::Scan { .. }), "got {input:?}");
     }

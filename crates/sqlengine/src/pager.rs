@@ -50,9 +50,7 @@
 //! the commit. Instead the pager flips `rebuild`: delta application
 //! becomes a no-op and the next checkpoint rebuilds every tree from the
 //! in-memory catalog snapshot (sound because `SharedDb::maybe_checkpoint`
-//! only runs with no pending installs). The same flag drives migration
-//! from a pre-pager WAL: legacy replay recovers the catalog in memory,
-//! and the first checkpoint builds the trees.
+//! only runs with no pending installs).
 //!
 //! Locks: `Pager.inner` holds rank [`lockrank::PAGER`] (32), taken under
 //! the WAL mutex (30); the buffer pool (34) and SimFs state (40) sit
@@ -688,8 +686,8 @@ impl Pager {
         Ok(next_epoch)
     }
 
-    /// Rebuild every tree from the catalog snapshot (degraded-mode escape
-    /// hatch and pre-pager-WAL migration). Existing pages are recycled
+    /// Rebuild every tree from the catalog snapshot (the degraded-mode
+    /// escape hatch). Existing pages are recycled
     /// wholesale: allocation restarts at id 1 — safe because every write
     /// targets a shadow slot, never the durable current image.
     fn rebuild_from(&self, st: &mut PagerState, catalog: &Catalog) -> Result<()> {

@@ -366,10 +366,9 @@ impl SharedDb {
     }
 
     /// Page-store counters: durable epoch, allocated pages, buffer-pool
-    /// hit/miss/eviction stats. `None` without a pager (in-memory
-    /// database or `SWAN_PAGER=0`).
+    /// hit/miss/eviction stats. `None` only for an in-memory database.
     pub fn pager_stats(&self) -> Option<crate::pager::PagerStats> {
-        self.inner.wal.as_ref().and_then(|w| w.lock().pager_stats())
+        self.inner.wal.as_ref().map(|w| w.lock().pager_stats())
     }
 
     /// Register a scalar UDF (e.g. an LLM function) for every session.

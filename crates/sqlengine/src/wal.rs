@@ -12,7 +12,10 @@
 //! the CRC taken over the payload. Recovery walks frames from offset 0 and
 //! stops at the first frame that is short, fails its checksum, or does not
 //! decode; everything from that offset on is discarded (`set_len`) so the
-//! next append starts at a clean boundary.
+//! next append starts at a clean boundary. The one exception is a
+//! checksum-valid frame of the retired whole-image checkpoint format
+//! (record tag 4): it is a whole record, not a torn tail, so opening the
+//! log fails with [`Error::Unsupported`] and leaves the file untouched.
 //!
 //! # Deltas
 //!
@@ -33,11 +36,16 @@
 //!
 //! # Checkpoints
 //!
-//! When the log grows past [`DurabilityConfig::checkpoint_bytes`], the
-//! committer rewrites it as a single [`WalRecord::Checkpoint`] holding the
-//! full current catalog (write to a `.tmp` sibling, fsync, atomic rename),
-//! bounding both file size and recovery time. Replay treats a checkpoint
-//! as "reset the catalog to exactly these tables".
+//! Durable state lives in the paged store ([`crate::pager`]): after each
+//! commit's fsync its deltas also apply to on-disk B-trees. When the log
+//! grows past [`DurabilityConfig::checkpoint_bytes`], the committer
+//! flushes the pages dirtied since the last checkpoint, flips the page
+//! store's meta file to a new epoch, and swaps the log for a single
+//! [`WalRecord::PagedCheckpoint`] marker naming that epoch (write to a
+//! `.tmp` sibling, fsync, atomic rename, directory sync). Recovery loads
+//! the catalog from the trees at the meta epoch and replays only the
+//! records after the marker, so the log's budget bounds both file size
+//! and recovery time.
 //!
 //! # The VFS seam
 //!
@@ -57,7 +65,7 @@ use std::sync::OnceLock;
 use crate::error::{Error, Result};
 use crate::pager::Pager;
 use crate::storage::{
-    decode_row, decode_table, encode_row, encode_table, get_str, get_u32, get_u64, get_u8,
+    decode_row, decode_table, encode_row, encode_table, get_str, get_u64, get_u8,
     put_str, put_u32, put_u64, Catalog, Table, TextInterner,
 };
 use crate::value::Row;
@@ -86,21 +94,14 @@ pub struct DurabilityConfig {
     /// the leader's critical section to the write + fsync. `0` disables
     /// handback (the leader always installs the whole batch itself).
     pub handback_deltas: usize,
-    /// Keep durable state in the paged store ([`crate::pager`]): commits
-    /// maintain on-disk B-trees and checkpoints flush only dirty pages —
-    /// O(dirty), not O(database). Disabled, checkpoints rewrite the full
-    /// catalog image (the legacy format). The default follows
-    /// `SWAN_PAGER` (`0` disables; anything else — or unset — enables).
+    /// Must be `true`. Durable state always lives in the paged store
+    /// ([`crate::pager`]): commits maintain on-disk B-trees and
+    /// checkpoints flush only dirty pages — O(dirty), not O(database).
+    /// `false` once selected a whole-image format that is now retired;
+    /// opening with it fails with [`Error::Unsupported`].
     pub paged: bool,
     /// Buffer-pool capacity in pages for the paged store.
     pub pool_pages: usize,
-}
-
-/// Process-wide default for [`DurabilityConfig::paged`], read from
-/// `SWAN_PAGER` once (same pattern as the columnar default).
-fn default_paged() -> bool {
-    static PAGED: OnceLock<bool> = OnceLock::new();
-    *PAGED.get_or_init(|| std::env::var("SWAN_PAGER").map(|v| v != "0").unwrap_or(true))
 }
 
 impl Default for DurabilityConfig {
@@ -110,7 +111,7 @@ impl Default for DurabilityConfig {
             sync: true,
             group_commit: true,
             handback_deltas: 4,
-            paged: default_paged(),
+            paged: true,
             pool_pages: crate::bufpool::DEFAULT_POOL_PAGES,
         }
     }
@@ -124,12 +125,9 @@ pub enum WalRecord {
     Begin { txn: u64 },
     Delta { txn: u64, delta: WalDelta },
     Commit { txn: u64 },
-    /// Full-database image; replay resets the catalog to these tables.
-    Checkpoint { tables: Vec<Arc<Table>> },
     /// Paged-store checkpoint marker: durable state up to here lives in
     /// the page/meta files at this epoch ([`crate::pager`]); only records
-    /// after the marker replay. Replaying one with the pager disabled is
-    /// a loud error — the log does not contain the data.
+    /// after the marker replay.
     PagedCheckpoint { epoch: u64 },
 }
 
@@ -159,6 +157,10 @@ pub enum WalDelta {
 fn bad(what: &str) -> Error {
     Error::Io(format!("wal: malformed {what}"))
 }
+
+/// Record tag of the retired whole-image checkpoint. Never reused, so a
+/// log written in that format cannot be misread as paged records.
+const RETIRED_IMAGE_TAG: u8 = 4;
 
 fn encode_record(buf: &mut Vec<u8>, rec: &WalRecord) {
     match rec {
@@ -206,13 +208,6 @@ fn encode_record(buf: &mut Vec<u8>, rec: &WalRecord) {
             buf.push(3);
             put_u64(buf, *txn);
         }
-        WalRecord::Checkpoint { tables } => {
-            buf.push(4);
-            put_u32(buf, tables.len() as u32);
-            for t in tables {
-                encode_table(buf, t);
-            }
-        }
         WalRecord::PagedCheckpoint { epoch } => {
             buf.push(5);
             put_u64(buf, *epoch);
@@ -258,14 +253,6 @@ fn decode_record(buf: &[u8], pos: &mut usize, interner: &mut TextInterner) -> Re
             Ok(WalRecord::Delta { txn, delta })
         }
         3 => Ok(WalRecord::Commit { txn: get_u64(buf, pos)? }),
-        4 => {
-            let n = get_u32(buf, pos)? as usize;
-            let mut tables = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                tables.push(Arc::new(decode_table(buf, pos, interner)?));
-            }
-            Ok(WalRecord::Checkpoint { tables })
-        }
         5 => Ok(WalRecord::PagedCheckpoint { epoch: get_u64(buf, pos)? }),
         _ => Err(bad("record tag")),
     }
@@ -315,34 +302,40 @@ pub fn frame_group(records: &[WalRecord]) -> Vec<u8> {
     buf
 }
 
-/// Decode the frame starting at `start`; `None` marks a torn/corrupt tail.
+/// Decode the frame starting at `start`; `Ok(None)` marks a torn/corrupt
+/// tail. A checksum-valid frame of the retired whole-image format is an
+/// error instead: truncating it would delete every commit after it.
 fn read_frame(
     bytes: &[u8],
     start: usize,
     interner: &mut TextInterner,
-) -> Option<(WalRecord, usize)> {
-    let rest = &bytes[start..];
-    if rest.len() < 8 {
-        return None;
+) -> Result<Option<(WalRecord, usize)>> {
+    let Some((payload, end)) = frame_payload(&bytes[start..]) else { return Ok(None) };
+    // Keyed on the tag byte itself: an all-zero region is a checksum-valid
+    // empty frame and must still read as a torn tail.
+    if payload.first() == Some(&RETIRED_IMAGE_TAG) {
+        return Err(Error::Unsupported(format!(
+            "wal: frame at offset {start} is a whole-image checkpoint, a retired \
+             log format; this engine reads only paged-store logs"
+        )));
     }
-    // Infallible here (length checked above), but a decode path never
-    // panics on input shape: a failed cast reads as a torn tail.
+    let mut pos = 0;
+    Ok(match decode_record(payload, &mut pos, interner) {
+        Ok(rec) if pos == payload.len() => Some((rec, start + end)),
+        _ => None,
+    })
+}
+
+/// The checksum-valid payload at the head of `rest` and the frame's end
+/// offset, or `None` if the frame is short or fails its checksum.
+fn frame_payload(rest: &[u8]) -> Option<(&[u8], usize)> {
+    // A decode path never panics on input shape: a failed cast or a
+    // short read is a torn tail.
     let len = u32::from_le_bytes(rest.get(0..4)?.try_into().ok()?) as usize;
     let crc = u32::from_le_bytes(rest.get(4..8)?.try_into().ok()?);
     let end = 8usize.checked_add(len)?;
-    if end > rest.len() {
-        return None;
-    }
-    let payload = &rest[8..end];
-    if crc32(payload) != crc {
-        return None;
-    }
-    let mut pos = 0;
-    let rec = decode_record(payload, &mut pos, interner).ok()?;
-    if pos != len {
-        return None;
-    }
-    Some((rec, start + end))
+    let payload = rest.get(8..end)?;
+    (crc32(payload) == crc).then_some((payload, end))
 }
 
 // ---------------------------------------------------------------------------
@@ -376,25 +369,7 @@ fn apply_delta(catalog: &mut Catalog, delta: WalDelta) -> Result<()> {
     Ok(())
 }
 
-/// Rebuild the catalog from a record stream: checkpoints reset it, and a
-/// transaction's deltas apply only when its `Commit` record is present.
-/// Uncommitted trailing transactions are discarded — exactly the rollback
-/// a crash before the commit record implies.
-pub fn replay(records: Vec<WalRecord>) -> Result<Catalog> {
-    if let Some(WalRecord::PagedCheckpoint { epoch }) = records
-        .iter()
-        .find(|r| matches!(r, WalRecord::PagedCheckpoint { .. }))
-    {
-        return Err(Error::Io(format!(
-            "wal: paged checkpoint marker (epoch {epoch}) in the log but the pager \
-             is disabled — the data lives in the page files, not the log; reopen \
-             with paged durability (unset SWAN_PAGER)"
-        )));
-    }
-    replay_tail(records, Catalog::new(), None)
-}
-
-/// Paged-mode recovery: reconcile the WAL's checkpoint marker with the
+/// Recovery: reconcile the WAL's checkpoint marker with the
 /// durable meta epoch, materialize the catalog from the trees, and replay
 /// only the genuine tail (applying it to the trees too, so they stay
 /// current). Returns the catalog and whether the log must be normalized
@@ -422,7 +397,7 @@ fn replay_paged(
         Some((i, epoch)) if epoch == meta_epoch => {
             let catalog = pager.materialize_catalog()?;
             let tail = records.into_iter().skip(i + 1).collect();
-            Ok((replay_tail(tail, catalog, Some(pager))?, false))
+            Ok((replay_tail(tail, catalog, pager)?, false))
         }
         // Marker behind the meta (or none at all while a meta exists): a
         // crash hit between the meta flip and the WAL swap. The whole
@@ -430,23 +405,21 @@ fn replay_paged(
         // was already folded into the trees the meta made durable — the
         // meta alone is the truth, and the stale log must be normalized.
         _ if meta_epoch > 0 => Ok((pager.materialize_catalog()?, true)),
-        // No meta yet: a fresh database or a pre-pager log (migration).
-        // Legacy replay recovers the catalog; the trees are built
-        // incrementally as the deltas apply, or — if anything in the old
-        // format trips them up — by rebuild at the first checkpoint.
-        _ => Ok((replay_tail(records, Catalog::new(), Some(pager))?, false)),
+        // No meta yet: a fresh database whose first checkpoint has not
+        // run, so every commit since creation is in the log. Replay
+        // rebuilds the catalog and applies the deltas to the trees.
+        _ => Ok((replay_tail(records, Catalog::new(), pager)?, false)),
     }
 }
 
 /// The committed-transaction replay loop over `records`, starting from
-/// `catalog`. With a pager, committed deltas also apply to the trees;
-/// tree failures degrade to rebuild mode rather than failing recovery
-/// (the commits are durable in the log — they must not be lost).
-fn replay_tail(
-    records: Vec<WalRecord>,
-    mut catalog: Catalog,
-    pager: Option<&Pager>,
-) -> Result<Catalog> {
+/// `catalog`: a transaction's deltas apply only when its `Commit` record
+/// is present, so uncommitted trailing transactions are discarded —
+/// exactly the rollback a crash before the commit record implies.
+/// Committed deltas also apply to the trees; tree failures degrade to
+/// rebuild mode rather than failing recovery (the commits are durable in
+/// the log — they must not be lost).
+fn replay_tail(records: Vec<WalRecord>, mut catalog: Catalog, pager: &Pager) -> Result<Catalog> {
     let mut pending: HashMap<u64, Vec<WalDelta>> = HashMap::new();
     for rec in records {
         match rec {
@@ -459,23 +432,11 @@ fn replay_tail(
             WalRecord::Commit { txn } => {
                 if let Some(deltas) = pending.remove(&txn) {
                     for d in deltas {
-                        if let Some(p) = pager {
-                            if p.apply_delta(&d).is_err() {
-                                p.set_rebuild();
-                            }
+                        if pager.apply_delta(&d).is_err() {
+                            pager.set_rebuild();
                         }
                         apply_delta(&mut catalog, d)?;
                     }
-                }
-            }
-            WalRecord::Checkpoint { tables } => {
-                catalog = Catalog::new();
-                for t in tables {
-                    catalog.put_shared(t);
-                }
-                // The legacy image supersedes whatever the trees held.
-                if let Some(p) = pager {
-                    p.set_rebuild();
                 }
             }
             WalRecord::PagedCheckpoint { .. } => {
@@ -495,7 +456,7 @@ fn apply_frames_to_pager(pager: &Pager, buf: &[u8]) {
     let mut interner = TextInterner::new();
     let mut pending: HashMap<u64, Vec<WalDelta>> = HashMap::new();
     let mut at = 0usize;
-    while let Some((rec, next)) = read_frame(buf, at, &mut interner) {
+    while let Ok(Some((rec, next))) = read_frame(buf, at, &mut interner) {
         at = next;
         match rec {
             WalRecord::Begin { txn } => {
@@ -514,7 +475,7 @@ fn apply_frames_to_pager(pager: &Pager, buf: &[u8]) {
                     }
                 }
             }
-            WalRecord::Checkpoint { .. } | WalRecord::PagedCheckpoint { .. } => {}
+            WalRecord::PagedCheckpoint { .. } => {}
         }
     }
     if at != buf.len() {
@@ -536,10 +497,10 @@ pub struct Wal {
     path: PathBuf,
     len: u64,
     config: DurabilityConfig,
-    /// The paged store ([`DurabilityConfig::paged`]). Lives under the WAL
-    /// mutex: commits apply their deltas to the trees right after the
-    /// fsync, checkpoints flush dirty pages instead of rewriting images.
-    pager: Option<Pager>,
+    /// The paged store. Lives under the WAL mutex: commits apply their
+    /// deltas to the trees right after the fsync, checkpoints flush
+    /// dirty pages.
+    pager: Pager,
     /// Set when an I/O failure left the handle in a state where further
     /// appends could silently lose acknowledged commits (a partial frame
     /// that could not be rolled back, a post-rename reopen failure that
@@ -573,7 +534,9 @@ pub struct Recovered {
 impl Wal {
     /// Open (or create) the log at `path` on the real filesystem, replay
     /// the longest intact record prefix, and truncate any torn tail so
-    /// subsequent appends start at a clean frame boundary.
+    /// subsequent appends start at a clean frame boundary. Fails with
+    /// [`Error::Unsupported`] for `paged: false` or a log holding a
+    /// retired whole-image checkpoint frame.
     pub fn open(path: impl AsRef<Path>, config: DurabilityConfig) -> Result<Recovered> {
         Wal::open_on(Arc::new(RealFs), path, config)
     }
@@ -585,6 +548,13 @@ impl Wal {
         path: impl AsRef<Path>,
         config: DurabilityConfig,
     ) -> Result<Recovered> {
+        if !config.paged {
+            return Err(Error::Unsupported(
+                "durability: `paged: false` selected the retired whole-image log \
+                 format; the paged store is the only durable format"
+                    .into(),
+            ));
+        }
         let path = path.as_ref().to_path_buf();
         let mut file = vfs.open(&path)?;
         let bytes = vfs.read(&path)?;
@@ -592,7 +562,7 @@ impl Wal {
         let mut records = Vec::new();
         let mut good = 0usize;
         let mut interner = TextInterner::new();
-        while let Some((rec, next)) = read_frame(&bytes, good, &mut interner) {
+        while let Some((rec, next)) = read_frame(&bytes, good, &mut interner)? {
             records.push(rec);
             good = next;
         }
@@ -608,17 +578,12 @@ impl Wal {
                 WalRecord::Begin { txn }
                 | WalRecord::Delta { txn, .. }
                 | WalRecord::Commit { txn } => *txn,
-                WalRecord::Checkpoint { .. } | WalRecord::PagedCheckpoint { .. } => 0,
+                WalRecord::PagedCheckpoint { .. } => 0,
             })
             .max()
             .unwrap_or(0);
-        let (catalog, pager, normalize) = if config.paged {
-            let pager = Pager::open(vfs.clone(), &path, config.pool_pages)?;
-            let (catalog, normalize) = replay_paged(records, &pager)?;
-            (catalog, Some(pager), normalize)
-        } else {
-            (replay(records)?, None, false)
-        };
+        let pager = Pager::open(vfs.clone(), &path, config.pool_pages)?;
+        let (catalog, normalize) = replay_paged(records, &pager)?;
         let mut wal = Wal {
             vfs,
             file,
@@ -634,7 +599,8 @@ impl Wal {
             // the trees, but appending after them would make the *next*
             // recovery replay that stale tail on top of the meta —
             // finish the interrupted swap before accepting appends.
-            wal.swap_to_marker()?;
+            let epoch = wal.pager.epoch();
+            wal.swap_log(&WalRecord::PagedCheckpoint { epoch })?;
         }
         Ok(Recovered { wal, catalog, max_txn })
     }
@@ -685,13 +651,11 @@ impl Wal {
         match wrote {
             Ok(()) => {
                 self.len += buf.len() as u64;
-                if let Some(pager) = &self.pager {
-                    // The frames are durable — the commit is already
-                    // acknowledged territory, so tree maintenance must
-                    // not fail it. Any hiccup flips the pager to rebuild
-                    // mode (next checkpoint rebuilds from the catalog).
-                    apply_frames_to_pager(pager, buf);
-                }
+                // The frames are durable — the commit is already
+                // acknowledged territory, so tree maintenance must not
+                // fail it. Any hiccup flips the pager to rebuild mode
+                // (next checkpoint rebuilds from the catalog).
+                apply_frames_to_pager(&self.pager, buf);
                 Ok(())
             }
             Err(e) => {
@@ -712,56 +676,31 @@ impl Wal {
         self.len >= self.config.checkpoint_bytes
     }
 
-    /// Page-store counters (pool hits/misses/evictions, epoch), when the
-    /// pager is enabled.
-    pub fn pager_stats(&self) -> Option<crate::pager::PagerStats> {
-        self.pager.as_ref().map(Pager::stats)
+    /// Page-store counters (pool hits/misses/evictions, epoch).
+    pub fn pager_stats(&self) -> crate::pager::PagerStats {
+        self.pager.stats()
     }
 
-    /// Compact the log. With the pager enabled this is the incremental
-    /// path: flush dirty pages + flip the meta (O(dirty pages)), then
-    /// swap the log for a bare [`WalRecord::PagedCheckpoint`] marker.
-    /// Without it, write a full catalog image — O(database). Either way
-    /// the swap uses tmp + fsync + rename + dir-sync; on return the log
-    /// holds exactly one record.
+    /// Compact the log: flush dirty pages + flip the meta (O(dirty
+    /// pages)), then swap the log for a bare
+    /// [`WalRecord::PagedCheckpoint`] marker via tmp + fsync + rename +
+    /// dir-sync. On return the log holds exactly one record.
     pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<()> {
-        if let Some(pager) = &self.pager {
-            // A retryable pager failure leaves durable state at the old
-            // epoch with all retry state intact — no poison. But if the
-            // meta rename landed and only its directory sync failed, the
-            // new meta is ambiguously durable while this log still holds
-            // pre-checkpoint records: a commit acknowledged now would be
-            // silently discarded by a recovery that trusts the surviving
-            // meta, so the log must poison (same contract as a failed
-            // dir sync in [`Self::swap_log`]).
-            let epoch = match pager.checkpoint(catalog) {
-                Ok(epoch) => epoch,
-                Err(e @ crate::pager::CheckpointError::Ambiguous(_)) => {
-                    self.poisoned = true;
-                    return Err(e.into_error());
-                }
-                Err(e) => return Err(e.into_error()),
-            };
-            return self.swap_log(&WalRecord::PagedCheckpoint { epoch });
-        }
-        let tables: Vec<Arc<Table>> = catalog
-            .table_names()
-            .iter()
-            .filter_map(|n| catalog.get(n).cloned())
-            .collect();
-        self.swap_log(&WalRecord::Checkpoint { tables })
-    }
-
-    /// Rewrite the log to a marker at the pager's current epoch (finishes
-    /// an interrupted checkpoint swap found during recovery).
-    fn swap_to_marker(&mut self) -> Result<()> {
-        let epoch = match &self.pager {
-            Some(p) => p.epoch(),
-            None => {
-                return Err(Error::Internal(
-                    "wal: marker normalization without a pager".into(),
-                ))
+        // A retryable pager failure leaves durable state at the old epoch
+        // with all retry state intact — no poison. But if the meta rename
+        // landed and only its directory sync failed, the new meta is
+        // ambiguously durable while this log still holds pre-checkpoint
+        // records: a commit acknowledged now would be silently discarded
+        // by a recovery that trusts the surviving meta, so the log must
+        // poison (same contract as a failed dir sync in
+        // [`Self::swap_log`]).
+        let epoch = match self.pager.checkpoint(catalog) {
+            Ok(epoch) => epoch,
+            Err(e @ crate::pager::CheckpointError::Ambiguous(_)) => {
+                self.poisoned = true;
+                return Err(e.into_error());
             }
+            Err(e) => return Err(e.into_error()),
         };
         self.swap_log(&WalRecord::PagedCheckpoint { epoch })
     }
@@ -997,6 +936,93 @@ mod tests {
         let rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
         assert_eq!(rec.catalog.row_count("t"), Some(4));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Frame `payload` the way [`frame`] does: `[len][crc][payload]`.
+    fn raw_frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, payload.len() as u32);
+        put_u32(&mut out, crc32(payload));
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// A checksum-valid frame of the retired whole-image checkpoint is a
+    /// whole record, not a torn tail: truncating at it would delete the
+    /// commits after it. Open refuses it and leaves every byte in place.
+    #[test]
+    fn retired_image_frame_is_refused_without_truncation() {
+        let path = temp_path("retired");
+        {
+            let mut rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
+            rec.wal
+                .append(&[
+                    WalRecord::Begin { txn: 1 },
+                    WalRecord::Delta {
+                        txn: 1,
+                        delta: WalDelta::Put { table: Arc::new(sample_table(2)) },
+                    },
+                    WalRecord::Commit { txn: 1 },
+                ])
+                .unwrap();
+        }
+        let committed = std::fs::read(&path).unwrap();
+
+        // A zero-table whole-image checkpoint, then a later commit.
+        let mut bytes = committed.clone();
+        bytes.extend(raw_frame(&[RETIRED_IMAGE_TAG, 0, 0, 0, 0]));
+        bytes.extend(frame_group(&[WalRecord::Begin { txn: 2 }, WalRecord::Commit { txn: 2 }]));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Wal::open(&path, DurabilityConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Unsupported(m) if m.contains("whole-image")),
+            "got {err:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the refused log must be untouched");
+
+        // Eight zero bytes also form a checksum-valid (empty) frame, but
+        // carry no tag: still a torn tail, truncated as before.
+        assert_eq!(crc32(&[]), 0);
+        let mut bytes = committed.clone();
+        bytes.extend([0u8; 8]);
+        std::fs::write(&path, &bytes).unwrap();
+        let rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
+        assert_eq!(rec.catalog.row_count("t"), Some(2));
+        assert_eq!(std::fs::read(&path).unwrap(), committed, "zero tail truncated");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Record tags are a durable format that existing paged stores hold:
+    /// retiring tag 4 must never renumber the others. Golden bytes of one
+    /// framed group (CRCs are IEEE CRC-32, as zlib computes them).
+    #[test]
+    fn framed_record_group_bytes_are_stable() {
+        let group = frame_group(&[
+            WalRecord::Begin { txn: 7 },
+            WalRecord::Delta {
+                txn: 7,
+                delta: WalDelta::Append {
+                    table: "t".into(),
+                    rows: vec![vec![Value::Integer(1), Value::text("a")].into()],
+                    new_version: 3,
+                },
+            },
+            WalRecord::Commit { txn: 7 },
+            WalRecord::PagedCheckpoint { epoch: 2 },
+        ]);
+        let hex: String = group.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = concat!(
+            // Begin (tag 1), txn 7
+            "09000000f409b7fb010700000000000000",
+            // Delta (tag 2), txn 7, Append (delta tag 2) of one row to "t"
+            "320000002553bfb5020700000000000000020100000074030000000000000001",
+            "0000000000000002000000010100000000000000030100000061",
+            // Commit (tag 3), txn 7
+            "09000000722141d5030700000000000000",
+            // PagedCheckpoint (tag 5), epoch 2
+            "090000009c56bbee050200000000000000",
+        );
+        assert_eq!(hex, golden);
     }
 
     #[test]

@@ -250,14 +250,7 @@ fn eviction_steps() -> Vec<String> {
 /// pinned frame was ever chosen.
 #[test]
 fn fault_sweep_under_eviction_pressure() {
-    // Pin `paged: true` so the sweep keeps its meaning under SWAN_PAGER=0
-    // CI runs (a 2-frame pool is only interesting with a pool).
-    let config = DurabilityConfig {
-        checkpoint_bytes: 2048,
-        pool_pages: 2,
-        paged: true,
-        ..Default::default()
-    };
+    let config = DurabilityConfig { checkpoint_bytes: 2048, pool_pages: 2, ..Default::default() };
     let steps = eviction_steps();
     let steps: Vec<&str> = steps.iter().map(String::as_str).collect();
     sweep_steps(config, &steps, "eviction");
@@ -267,7 +260,7 @@ fn fault_sweep_under_eviction_pressure() {
     for step in &steps {
         db.execute_script(step).unwrap();
     }
-    let stats = db.pager_stats().expect("pager pinned on above");
+    let stats = db.pager_stats().expect("durable database");
     assert!(
         stats.pool.evictions > 0,
         "a 2-frame pool under a multi-page working set must evict: {stats:?}"

@@ -1,6 +1,6 @@
 //! Integration tests for the paged durable store: the checkpoint
 //! write-amplification bound (the bug this store exists to fix), recovery
-//! round-trips, legacy-image migration, and `paged: false` equivalence.
+//! round-trips, and the rejection of the retired `paged: false` format.
 //!
 //! The headline assertion is byte-counted, not vibes: after `k` point
 //! updates, the next checkpoint may write O(k) pages to the page file —
@@ -9,18 +9,14 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use swan_sqlengine::{Database, DurabilityConfig, SimFs};
+use swan_sqlengine::{Database, DurabilityConfig, Error, SharedDb, SimFs};
 
 const WAL: &str = "/sim/paged.wal";
 const PAGE: u64 = 4096;
 
 /// Huge checkpoint budget: checkpoints happen only when the test says so.
-fn manual_checkpoints(paged: bool) -> DurabilityConfig {
-    DurabilityConfig {
-        checkpoint_bytes: u64::MAX,
-        paged,
-        ..Default::default()
-    }
+fn manual_checkpoints() -> DurabilityConfig {
+    DurabilityConfig { checkpoint_bytes: u64::MAX, ..Default::default() }
 }
 
 fn open_sim(fs: &SimFs, config: DurabilityConfig) -> Database {
@@ -85,7 +81,7 @@ fn load_rows(db: &mut Database, n: usize) {
 #[test]
 fn incremental_checkpoint_writes_o_of_k_pages() {
     let fs = SimFs::new();
-    let mut db = open_sim(&fs, manual_checkpoints(true));
+    let mut db = open_sim(&fs, manual_checkpoints());
     load_rows(&mut db, 2000);
 
     // First checkpoint materialises the whole tree: O(database) writes,
@@ -93,7 +89,7 @@ fn incremental_checkpoint_writes_o_of_k_pages() {
     let mark = fs.ops().len();
     db.checkpoint().unwrap();
     let full_bytes = page_file_bytes(&fs, mark);
-    let stats = db.pager_stats().expect("pager enabled");
+    let stats = db.pager_stats().expect("durable database");
     assert!(
         stats.pages >= 50,
         "2000 rows × ~200 B must span many pages, got {}",
@@ -139,14 +135,14 @@ fn incremental_checkpoint_writes_o_of_k_pages() {
     // And the flushed state is the recovered state.
     let expected = dump(&db);
     drop(db);
-    let db = open_sim(&fs, manual_checkpoints(true));
+    let db = open_sim(&fs, manual_checkpoints());
     assert_eq!(dump(&db), expected, "reboot must reproduce the checkpointed state");
 }
 
 #[test]
 fn recovery_replays_tail_commits_over_the_checkpoint() {
     let fs = SimFs::new();
-    let mut db = open_sim(&fs, manual_checkpoints(true));
+    let mut db = open_sim(&fs, manual_checkpoints());
     load_rows(&mut db, 300);
     db.checkpoint().unwrap();
     // Post-checkpoint commits live only in the log tail.
@@ -156,65 +152,19 @@ fn recovery_replays_tail_commits_over_the_checkpoint() {
     let expected = dump(&db);
     drop(db);
 
-    let db = open_sim(&fs, manual_checkpoints(true));
+    let db = open_sim(&fs, manual_checkpoints());
     assert_eq!(dump(&db), expected, "checkpoint + tail replay must round-trip");
 }
 
+/// `paged: false` selected the retired whole-image format: opening with
+/// it is a typed error on every entry point, never a silent fallback.
 #[test]
-fn legacy_image_migrates_into_the_paged_store() {
+fn paged_false_is_rejected_at_open() {
     let fs = SimFs::new();
-    // Write durable state with the pager off: legacy whole-image format.
-    let mut db = open_sim(&fs, manual_checkpoints(false));
-    load_rows(&mut db, 200);
-    db.checkpoint().unwrap();
-    db.execute("UPDATE t SET body = 'post-ckpt' WHERE id = 5").unwrap();
-    assert!(db.pager_stats().is_none(), "pager off: no stats");
-    let expected = dump(&db);
-    drop(db);
-
-    // Reopen paged: recovery must read the legacy image, and the first
-    // checkpoint owns the one-time O(database) migration into pages.
-    let db = open_sim(&fs, manual_checkpoints(true));
-    assert_eq!(dump(&db), expected, "legacy image must load under the pager");
-    db.checkpoint().unwrap();
-    assert!(db.pager_stats().unwrap().pages > 0, "migration built pages");
-    drop(db);
-
-    // From here on the paged store is the root of trust.
-    let db = open_sim(&fs, manual_checkpoints(true));
-    assert_eq!(dump(&db), expected, "migrated state must round-trip");
-}
-
-#[test]
-fn pager_off_is_behavior_identical_on_the_same_workload() {
-    let script: Vec<String> = {
-        let mut s = vec![
-            "CREATE TABLE t (id INTEGER PRIMARY KEY, v REAL)".to_string(),
-            "CREATE TABLE u (a TEXT, b INTEGER)".to_string(),
-        ];
-        for i in 0..120i64 {
-            s.push(format!("INSERT INTO t VALUES ({i}, {}.5)", i * 3));
-            s.push(format!("INSERT INTO u VALUES ('s{}', {})", i % 7, i));
-        }
-        s.push("UPDATE t SET v = v * 2 WHERE id % 5 = 0".to_string());
-        s.push("DELETE FROM u WHERE b > 100".to_string());
-        s
-    };
-
-    let mut dumps = Vec::new();
-    for paged in [true, false] {
-        let fs = SimFs::new();
-        let mut db = open_sim(&fs, manual_checkpoints(paged));
-        for stmt in &script {
-            db.execute(stmt).unwrap();
-        }
-        db.checkpoint().unwrap();
-        drop(db);
-        let db = open_sim(&fs, manual_checkpoints(paged));
-        dumps.push(dump(&db));
-    }
-    assert_eq!(
-        dumps[0], dumps[1],
-        "paged and legacy durability must expose identical database state"
-    );
+    let retired = DurabilityConfig { paged: false, ..manual_checkpoints() };
+    let db = Database::open_on(Arc::new(fs.clone()), PathBuf::from(WAL), retired);
+    assert!(matches!(db, Err(Error::Unsupported(_))), "Database: {:?}", db.err());
+    let shared = SharedDb::open_on(Arc::new(fs.clone()), PathBuf::from(WAL), retired);
+    assert!(matches!(shared, Err(Error::Unsupported(_))), "SharedDb: {:?}", shared.err());
+    assert!(fs.ops().is_empty(), "a rejected open must not touch the filesystem");
 }

@@ -228,7 +228,7 @@ fn auto_checkpoint_compacts_and_preserves_state() {
     };
     let wal_size = std::fs::metadata(&path).unwrap().len();
     // 200 inserts × ~80 bytes each would exceed 16 KiB uncompacted; the
-    // auto-checkpoint keeps the log near one full image of the table.
+    // auto-checkpoint swaps the log for a bare marker at each 2 KiB budget.
     assert!(
         wal_size < 64 * 1024,
         "auto-checkpoint must bound the log (got {wal_size} bytes)"

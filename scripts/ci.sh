@@ -28,7 +28,8 @@
 #      single-flight test;
 #   4. the WAL crash-recovery harness (torn-tail truncation sweep at
 #      every byte offset of the final commit record group, durable
-#      transactions, auto-checkpoint compaction);
+#      transactions, auto-checkpoint compaction), then the paged-storage
+#      suite (O(dirty pages) checkpoint byte bound, recovery round trips);
 #   5. the crash-simulation harness (crates/sqlengine/tests/crash_sim.rs):
 #      a fault — transient error or crash with a configurable torn write —
 #      injected at EVERY SimFs operation index of the commit, checkpoint,
@@ -82,6 +83,9 @@ SWAN_LOCKDEP=1 cargo test -q -p swan-sqlengine --test row_conflicts
 echo "== WAL crash-recovery harness =="
 cargo test -q -p swan-sqlengine --test wal_recovery
 
+echo "== paged storage integration suite =="
+cargo test -q -p swan-sqlengine --test paged_storage
+
 echo "== crash-simulation harness (SimFs fault sweep) =="
 cargo test -q -p swan-sqlengine --test crash_sim
 
@@ -95,22 +99,6 @@ SWAN_COLUMNAR=1 cargo test -q -p swan-sqlengine --test slt
 echo "== columnar execution off/on: differential harness =="
 SWAN_COLUMNAR=0 cargo test -q -p swan-sqlengine --test parallel_diff
 SWAN_COLUMNAR=1 cargo test -q -p swan-sqlengine --test parallel_diff
-
-echo "== paged storage off/on: golden SQL suite =="
-SWAN_PAGER=0 cargo test -q -p swan-sqlengine --test slt
-SWAN_PAGER=1 cargo test -q -p swan-sqlengine --test slt
-
-echo "== paged storage off/on: differential harness =="
-SWAN_PAGER=0 cargo test -q -p swan-sqlengine --test parallel_diff
-SWAN_PAGER=1 cargo test -q -p swan-sqlengine --test parallel_diff
-
-echo "== paged storage off/on: crash-simulation harness =="
-SWAN_PAGER=0 cargo test -q -p swan-sqlengine --test crash_sim
-SWAN_PAGER=1 cargo test -q -p swan-sqlengine --test crash_sim
-
-echo "== paged storage off/on: integration suite =="
-SWAN_PAGER=0 cargo test -q -p swan-sqlengine --test paged_storage
-SWAN_PAGER=1 cargo test -q -p swan-sqlengine --test paged_storage
 
 echo "== binary row + column codec round-trip properties =="
 cargo test -q -p swan-sqlengine --test prop_codec
