@@ -1,13 +1,16 @@
-//! Ablation A4 (paper §4.2) — predicate pushdown in the UDF pre-pass:
-//! with pushdown, cheap WHERE conjuncts restrict which keys are sent to
-//! the LLM; without it, the system generates values for every row (the
-//! §5.5 "generated heights for all players" failure).
+//! Ablation A4 (paper §4.2) — predicate pushdown for `llm_map`: with
+//! pushdown (the optimizer's `order_expensive_last`), cheap WHERE
+//! conjuncts restrict which keys are sent to the LLM; without it, the
+//! engine batches the calls directly over the table scan and generates
+//! values for every row (the §5.5 "generated heights for all players"
+//! failure).
 
 use std::sync::Arc;
 
 use swan_core::experiment::{render_table, Harness};
 use swan_core::udf::{UdfConfig, UdfRunner};
 use swan_llm::{LanguageModel, ModelKind, SimulatedModel};
+use swan_sqlengine::OptimizerConfig;
 
 fn main() {
     let h = Harness::from_env();
@@ -25,11 +28,9 @@ fn main() {
     let mut rows = Vec::new();
     for (label, pushdown) in [("on (BlendSQL-style)", true), ("off", false)] {
         let model = Arc::new(SimulatedModel::new(ModelKind::Gpt35Turbo, h.kb.clone()));
-        let mut runner = UdfRunner::new(
-            domain,
-            model.clone(),
-            UdfConfig { pushdown, ..Default::default() },
-        );
+        let mut runner = UdfRunner::new(domain, model.clone(), UdfConfig::default());
+        let db = runner.database_mut();
+        db.set_optimizer(OptimizerConfig { order_expensive_last: pushdown, ..db.optimizer() });
         for q in &point_lookups {
             runner.run_sql(&q.udf_sql).expect("question runs");
         }

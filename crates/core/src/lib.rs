@@ -5,8 +5,9 @@
 //! * [`hqdl`] — schema expansion (§4.1): LLM-materialized `llm_*` tables,
 //!   then plain SQL;
 //! * [`udf`] — hybrid-query UDFs (§4.2, BlendSQL-style): `llm_map` calls
-//!   inline in SQL with batched pre-fetch, predicate pushdown, and a
-//!   configurable caching policy (§4.3/§5.5);
+//!   inline in SQL, batched by the engine's vectorized execution after
+//!   the optimizer's predicate pushdown, with a configurable caching
+//!   policy (§4.3/§5.5);
 //! * [`metrics`] — execution accuracy and data-factuality F1 (§5.1);
 //! * [`experiment`] — orchestration that regenerates every table of the
 //!   paper's evaluation (Tables 1–5) plus the ablations in DESIGN.md.

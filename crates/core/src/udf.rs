@@ -1,28 +1,25 @@
 //! Hybrid-query UDFs (paper §4.2) — the BlendSQL-style solution.
 //!
 //! `llm_map('question', key...)` is registered as an *expensive* scalar
-//! UDF on the curated database. Before executing a question's SQL, the
-//! [`UdfRunner`] performs the BlendSQL-style pre-pass:
+//! UDF on the curated database, and every call is batched by one
+//! mechanism: the engine's optimizer rule 5 places a `Plan::Batch` node
+//! for the expensive calls, and the operator above it hands the distinct
+//! argument tuples of its input to [`ScalarUdf::invoke_batch`]. That
+//! looks each key up in the answer store, chunks the misses per
+//! [`UdfConfig::batch_size`] (BlendSQL's default is 5, §5.4) into
+//! [`UdfPrompt`]s and fans them out across [`UdfConfig::workers`]. Keys a
+//! short batch response leaves unanswered are re-batched once; only what
+//! is still missing then falls back to single-key model calls, which are
+//! single-flighted across concurrent rows.
 //!
-//! 1. find every `llm_map` call in the statement;
-//! 2. determine the key columns' base table and — when predicate
-//!    pushdown is enabled (§4.2: "pushing down predicates to avoid
-//!    generating unnecessary data entries") — the cheap WHERE conjuncts
-//!    that restrict it;
-//! 3. collect the distinct key tuples, batch them (BlendSQL's default
-//!    batch size is 5, §5.4) into [`UdfPrompt`]s, and fill the answer
-//!    store.
-//!
-//! During execution, `llm_map` reads the store. Query shapes the pre-pass
-//! bails on (compound SELECTs, subquery sources, unqualified key columns,
-//! non-literal questions, `llm_map` inside JOIN ON) are still batched:
-//! the engine's vectorized execution hands each operator's distinct
-//! argument tuples to [`ScalarUdf::invoke_batch`], which chunks uncached
-//! keys per [`UdfConfig::batch_size`] and fans the prompts out across
-//! `UdfConfig::workers`. Only keys a short batch response leaves
-//! unanswered fall back to single-key model calls, and those are
-//! single-flighted across concurrent rows. The answer-store key policy
-//! implements the caching spectrum of §4.3/§5.5 (see [`CacheScope`]).
+//! Predicate pushdown (§4.2: "pushing down predicates to avoid generating
+//! unnecessary data entries") is the optimizer's job too: with
+//! `OptimizerConfig::order_expensive_last` on (the default) the batch sits
+//! above the cheap conjuncts, so only surviving rows reach the model;
+//! turning it off places the batch directly over the base-table scan —
+//! the ablation (A4) that generates a value for every row. The
+//! answer-store key policy implements the caching spectrum of §4.3/§5.5
+//! (see [`CacheScope`]).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,12 +33,7 @@ use std::sync::{Condvar, Mutex as StdMutex};
 use swan_data::DomainData;
 use swan_llm::knowledge::normalize_question;
 use swan_llm::{parallel, BreakerState, LanguageModel, LlmError, ResilientModel, UdfExample, UdfPrompt};
-use swan_sqlengine::ast::{
-    Expr, SelectBody, SelectItem, SelectStmt, Statement, TableRef,
-};
-use swan_sqlengine::exec::{run_select, ExecCtx};
-use swan_sqlengine::plan::{split_conjuncts, RelSchema};
-use swan_sqlengine::{parser, Database, Error, QueryResult, Result, ScalarUdf, Value};
+use swan_sqlengine::{Database, Error, QueryResult, Result, ScalarUdf, Value};
 
 use crate::hqdl::infer_value;
 
@@ -84,11 +76,9 @@ pub struct UdfConfig {
     pub shots: usize,
     /// Keys per batched prompt (BlendSQL default: 5).
     pub batch_size: usize,
-    /// Pre-pass predicate pushdown on/off (ablation A4).
-    pub pushdown: bool,
     /// Cross-question caching policy (ablation A2).
     pub cache: CacheScope,
-    /// Parallel LLM workers for the pre-pass.
+    /// Parallel LLM workers each batch's prompts fan out across.
     pub workers: usize,
     /// Degradation policy for model calls that still fail after the
     /// resilience layer's retries.
@@ -100,7 +90,6 @@ impl Default for UdfConfig {
         UdfConfig {
             shots: 0,
             batch_size: 5,
-            pushdown: true,
             cache: CacheScope::ExactPrompt,
             workers: 1,
             on_model_failure: OnModelFailure::Fail,
@@ -111,14 +100,15 @@ impl Default for UdfConfig {
 /// Execution statistics for cost analysis.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UdfStats {
-    /// Keys answered through batched model calls — the AST pre-pass or
-    /// the engine's vectorized `invoke_batch` execution.
+    /// Keys answered through batched model calls (the engine's
+    /// vectorized `invoke_batch` execution).
     pub prefetched_keys: u64,
-    /// Keys already present in the answer store when prefetch ran.
+    /// Keys already present in the answer store when `invoke_batch`
+    /// assembled a batch.
     pub cache_hits: u64,
-    /// Answer-store hits during execution: rows served from previously
-    /// fetched answers at `invoke`/`invoke_batch` time, including reuse
-    /// across concurrent rows coalesced by the single-flight fallback.
+    /// Per-row answer-store hits: rows served from previously fetched
+    /// answers at `invoke`/`fetch_single` time, including reuse across
+    /// concurrent rows coalesced by the single-flight fallback.
     pub exec_cache_hits: u64,
     /// Per-row fallback model calls during execution (attempts, whether
     /// or not the model answered).
@@ -239,7 +229,8 @@ struct Shared {
     /// answer and **surviving** [`CacheScope::PerQuestion`] store clears:
     /// the [`OnModelFailure::StaleCache`] degradation source.
     stale: Mutex<HashMap<CacheKey, Value>>,
-    stats: Mutex<UdfStats>,
+    prefetched_keys: AtomicU64,
+    cache_hits: AtomicU64,
     fallback_calls: AtomicU64,
     exec_hits: AtomicU64,
     degraded: AtomicU64,
@@ -390,13 +381,9 @@ impl Shared {
         }
     }
 
-    /// Batched fetch for the engine's vectorized execution path: chunk the
-    /// uncached keys of each question per `batch_size` and fan the prompts
-    /// out through the parallel worker pool — the same shape the AST
-    /// pre-pass uses, but driven by the operator's actual input batch, so
-    /// query shapes the pre-pass bails on (compound SELECTs, subquery
-    /// sources, non-literal questions, `llm_map` in JOIN ON) still get
-    /// batched calls.
+    /// Batched fetch for the engine's vectorized execution path: chunk
+    /// the uncached keys of one question per `batch_size` and fan the
+    /// prompts out through the parallel worker pool.
     fn fetch_batch(&self, question: &str, needed: &[Vec<String>]) {
         // Reserve the keys in the single-flight map; keys another thread
         // is already fetching (per-row or in its own batch) are dropped
@@ -441,20 +428,20 @@ impl Shared {
         {
             let mut answers = self.answers.lock();
             let mut stale = self.stale.lock();
-            let mut stats = self.stats.lock();
             for (keys, completion) in chunks.iter().zip(completions) {
                 // Failed chunks cache nothing; their rows retry (and
                 // degrade if configured) through `fetch_single`.
                 let Ok(completion) = completion else { continue };
                 let lines = swan_llm::prompt::parse_udf_response(&completion.text);
                 // Short responses leave trailing keys unanswered; the
-                // caller falls back to single-key calls for those.
+                // caller re-batches those once, then falls back to
+                // single-key calls.
                 for (key, line) in keys.iter().zip(lines) {
                     let ck = self.cache_key(question, key);
                     let value = infer_value(&line);
                     answers.insert(ck.clone(), value.clone());
                     stale.insert(ck, value);
-                    stats.prefetched_keys += 1;
+                    self.prefetched_keys.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -492,15 +479,16 @@ impl ScalarUdf for LlmMapUdf {
     }
 
     /// Vectorized execution: called by the engine once per operator batch
-    /// with the distinct argument tuples of a call site. Uncached keys are
-    /// grouped by question, chunked per `UdfConfig::batch_size` and fanned
-    /// out through the parallel worker pool; anything a short batch
-    /// response leaves unanswered falls back to a single-key call.
+    /// with the distinct argument tuples of a call site. Keys already in
+    /// the answer store count as cache hits; the misses are grouped by
+    /// question and sent through one batched fetch, the keys a short
+    /// batch response leaves unanswered through one more, and only what
+    /// is still missing falls back to single-key calls.
     fn invoke_batch(&self, rows: &[Vec<Value>]) -> Result<Vec<Value>> {
         let shared = &self.shared;
         let mut out: Vec<Option<Value>> = vec![None; rows.len()];
-        // (row index, question, key) for rows the answer store misses,
-        // grouped by question in first-seen order.
+        // (row index, key) for rows the answer store misses, grouped by
+        // question in first-seen order.
         let mut questions: Vec<String> = Vec::new();
         let mut pending: HashMap<String, Vec<(usize, Vec<String>)>> = HashMap::new();
         for (i, args) in rows.iter().enumerate() {
@@ -509,7 +497,7 @@ impl ScalarUdf for LlmMapUdf {
                 continue;
             };
             if let Some(v) = shared.answers.lock().get(&shared.cache_key(&question, &key)) {
-                shared.exec_hits.fetch_add(1, Ordering::Relaxed);
+                shared.cache_hits.fetch_add(1, Ordering::Relaxed);
                 out[i] = Some(v.clone());
                 continue;
             }
@@ -520,14 +508,21 @@ impl ScalarUdf for LlmMapUdf {
         }
 
         for question in &questions {
-            let entries = &pending[question];
             let mut seen = HashSet::new();
-            let needed: Vec<Vec<String>> = entries
+            let needed: Vec<Vec<String>> = pending[question]
                 .iter()
                 .filter(|(_, k)| seen.insert(k.clone()))
                 .map(|(_, k)| k.clone())
                 .collect();
             shared.fetch_batch(question, &needed);
+            let leftover: Vec<Vec<String>> = {
+                let answers = shared.answers.lock();
+                needed
+                    .into_iter()
+                    .filter(|k| !answers.contains_key(&shared.cache_key(question, k)))
+                    .collect()
+            };
+            shared.fetch_batch(question, &leftover);
         }
 
         for (question, entries) in questions.iter().map(|q| (q, &pending[q])) {
@@ -612,7 +607,8 @@ impl UdfRunner {
             config,
             answers: Mutex::with_rank("udf_answers", lockrank::UDF_ANSWERS, HashMap::new()),
             stale: Mutex::with_rank("udf_stale", lockrank::UDF_STALE, HashMap::new()),
-            stats: Mutex::with_rank("udf_stats", lockrank::UDF_STATS, UdfStats::default()),
+            prefetched_keys: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
             fallback_calls: AtomicU64::new(0),
             exec_hits: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
@@ -623,18 +619,14 @@ impl UdfRunner {
         UdfRunner { db, shared }
     }
 
-    /// Execute one UDF-form hybrid query. Non-SELECT statements (useful
-    /// in the interactive shell) execute directly without a pre-pass.
+    /// Execute one UDF-form hybrid query (or any other statement, which
+    /// is useful in the interactive shell). The whole statement, model
+    /// calls included, runs under the database's statement deadline.
     pub fn run_sql(&mut self, udf_sql: &str) -> Result<QueryResult> {
         if self.shared.config.cache == CacheScope::PerQuestion {
             self.shared.answers.lock().clear();
         }
-        let stmt = parser::parse_statement(udf_sql)?;
-        let Statement::Select(select) = &stmt else {
-            return self.db.execute(udf_sql);
-        };
-        self.prefetch(select)?;
-        self.db.query(udf_sql)
+        self.db.execute(udf_sql)
     }
 
     /// The curated database this runner queries (with `llm_map` registered).
@@ -649,198 +641,21 @@ impl UdfRunner {
 
     /// Cumulative statistics.
     pub fn stats(&self) -> UdfStats {
-        let mut s = *self.shared.stats.lock();
-        s.fallback_calls = self.shared.fallback_calls.load(Ordering::Relaxed);
-        s.exec_cache_hits = self.shared.exec_hits.load(Ordering::Relaxed);
-        s.degraded = self.shared.degraded.load(Ordering::Relaxed);
-        s.breaker = self.shared.resilient.as_ref().map(|r| r.breaker_state());
-        s
+        let shared = &self.shared;
+        UdfStats {
+            prefetched_keys: shared.prefetched_keys.load(Ordering::Relaxed),
+            cache_hits: shared.cache_hits.load(Ordering::Relaxed),
+            exec_cache_hits: shared.exec_hits.load(Ordering::Relaxed),
+            fallback_calls: shared.fallback_calls.load(Ordering::Relaxed),
+            degraded: shared.degraded.load(Ordering::Relaxed),
+            breaker: shared.resilient.as_ref().map(|r| r.breaker_state()),
+        }
     }
 
     /// Number of distinct cached answers.
     pub fn cached_answers(&self) -> usize {
         self.shared.answers.lock().len()
     }
-
-    // ---- pre-pass ----------------------------------------------------------
-
-    fn prefetch(&self, stmt: &SelectStmt) -> Result<()> {
-        let SelectBody::Simple(core) = &stmt.body else {
-            return Ok(()); // compound UDF queries: rely on fallback calls
-        };
-        let mut calls: Vec<(String, Vec<Expr>)> = Vec::new();
-        let mut collect = |e: &Expr| {
-            e.walk(&mut |x| {
-                if let Expr::Function { name, args, .. } = x {
-                    if name.eq_ignore_ascii_case("llm_map") && args.len() >= 2 {
-                        if let Expr::Literal(Value::Text(q)) = &args[0] {
-                            let key = (q.to_string(), args[1..].to_vec());
-                            if !calls.contains(&key) {
-                                calls.push(key);
-                            }
-                        }
-                    }
-                }
-            });
-        };
-        for item in &core.projection {
-            if let SelectItem::Expr { expr, .. } = item {
-                collect(expr);
-            }
-        }
-        // JOIN ON conditions are as batchable as WHERE conjuncts; the FROM
-        // tree must be walked too or `llm_map` in an ON clause is
-        // invisible to the pre-pass.
-        if let Some(from) = &core.from {
-            collect_join_on(from, &mut collect);
-        }
-        if let Some(f) = &core.filter {
-            collect(f);
-        }
-        for g in &core.group_by {
-            collect(g);
-        }
-        if let Some(h) = &core.having {
-            collect(h);
-        }
-        for o in &stmt.order_by {
-            collect(&o.expr);
-        }
-
-        for (question, key_exprs) in calls {
-            self.prefetch_call(core, &question, &key_exprs)?;
-        }
-        Ok(())
-    }
-
-    fn prefetch_call(
-        &self,
-        core: &swan_sqlengine::ast::SelectCore,
-        question: &str,
-        key_exprs: &[Expr],
-    ) -> Result<()> {
-        // The key columns must all be plain column references over one
-        // table alias; otherwise fall back to per-row calls.
-        let mut qualifier: Option<String> = None;
-        for e in key_exprs {
-            match e {
-                Expr::Column { table: Some(t), .. } => {
-                    if let Some(q) = &qualifier {
-                        if !q.eq_ignore_ascii_case(t) {
-                            return Ok(());
-                        }
-                    } else {
-                        qualifier = Some(t.clone());
-                    }
-                }
-                _ => return Ok(()),
-            }
-        }
-        let Some(qualifier) = qualifier else { return Ok(()) };
-        let Some(from) = &core.from else { return Ok(()) };
-        let Some((table_name, alias)) = find_table(from, &qualifier) else {
-            return Ok(());
-        };
-
-        // Pushdown: cheap conjuncts fully resolvable against this table.
-        let filter = if self.shared.config.pushdown {
-            let table = self.db.catalog().get_required(&table_name)?;
-            let schema = RelSchema::qualified(&alias, table.column_names());
-            let pushable: Vec<Expr> = core
-                .filter
-                .iter()
-                .flat_map(split_conjuncts)
-                .filter(|c| !contains_function(c) && schema.covers(c))
-                .collect();
-            swan_sqlengine::plan::conjoin(pushable)
-        } else {
-            None
-        };
-
-        // SELECT DISTINCT <keys> FROM <table> AS <alias> [WHERE pushable]
-        let key_query = SelectStmt {
-            body: SelectBody::Simple(Box::new(swan_sqlengine::ast::SelectCore {
-                distinct: true,
-                projection: key_exprs
-                    .iter()
-                    .map(|e| SelectItem::Expr { expr: e.clone(), alias: None })
-                    .collect(),
-                from: Some(TableRef::Table {
-                    name: table_name,
-                    alias: Some(alias),
-                }),
-                filter,
-                group_by: vec![],
-                having: None,
-            })),
-            order_by: vec![],
-            limit: None,
-            offset: None,
-        };
-        let ctx = ExecCtx::new(self.db.catalog(), self.db.udfs());
-        let keys_rel = run_select(&key_query, &ctx, None)?;
-
-        // Split into cached / needed.
-        let mut needed: Vec<Vec<String>> = Vec::new();
-        {
-            let answers = self.shared.answers.lock();
-            let mut stats = self.shared.stats.lock();
-            for row in &keys_rel.rows {
-                if row.iter().any(Value::is_null) {
-                    continue;
-                }
-                let key: Vec<String> = row.iter().map(Value::render).collect();
-                if answers.contains_key(&self.shared.cache_key(question, &key)) {
-                    stats.cache_hits += 1;
-                } else {
-                    needed.push(key);
-                }
-            }
-        }
-        // Batch and fan out (short responses — batch glitches, §5.4 —
-        // leave trailing keys unanswered; execution falls back).
-        self.shared.fetch_batch(question, &needed);
-        Ok(())
-    }
-}
-
-/// Walk a FROM tree, feeding every JOIN ON condition to `collect`.
-fn collect_join_on(t: &TableRef, collect: &mut impl FnMut(&Expr)) {
-    if let TableRef::Join { left, right, on, .. } = t {
-        collect_join_on(left, collect);
-        collect_join_on(right, collect);
-        if let Some(on) = on {
-            collect(on);
-        }
-    }
-}
-
-/// Find the `(table_name, alias)` in a FROM tree answering to `qualifier`.
-fn find_table(t: &TableRef, qualifier: &str) -> Option<(String, String)> {
-    match t {
-        TableRef::Table { name, alias } => {
-            let a = alias.as_deref().unwrap_or(name);
-            if a.eq_ignore_ascii_case(qualifier) {
-                Some((name.clone(), a.to_string()))
-            } else {
-                None
-            }
-        }
-        TableRef::Subquery { .. } => None,
-        TableRef::Join { left, right, .. } => {
-            find_table(left, qualifier).or_else(|| find_table(right, qualifier))
-        }
-    }
-}
-
-fn contains_function(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |x| {
-        if matches!(x, Expr::Function { .. }) {
-            found = true;
-        }
-    });
-    found
 }
 
 #[cfg(test)]
@@ -864,7 +679,7 @@ mod tests {
         let result = r.run_sql(&q.udf_sql).expect("udf query runs");
         assert!(!result.columns.is_empty());
         let stats = r.stats();
-        assert!(stats.prefetched_keys > 0, "pre-pass fetched keys in batch");
+        assert!(stats.prefetched_keys > 0, "keys were fetched in batches");
     }
 
     #[test]
@@ -933,9 +748,13 @@ mod tests {
         with.run_sql(&d.questions[0].udf_sql).unwrap();
         assert_eq!(with.stats().prefetched_keys, 1, "pushdown narrows to one driver");
 
+        // Pushdown off: the optimizer batches the call over the whole scan.
         let model = Arc::new(SimulatedModel::new(ModelKind::Gpt4Turbo, kb));
-        let mut without =
-            UdfRunner::new(&d, model, UdfConfig { pushdown: false, ..Default::default() });
+        let mut without = UdfRunner::new(&d, model, UdfConfig::default());
+        without.database_mut().set_optimizer(swan_sqlengine::OptimizerConfig {
+            order_expensive_last: false,
+            ..Default::default()
+        });
         without.run_sql(&d.questions[0].udf_sql).unwrap();
         let drivers = d.curated.catalog().get("drivers").unwrap().len() as u64;
         assert_eq!(
@@ -972,9 +791,9 @@ mod tests {
     #[test]
     fn unprefetchable_key_is_batched_not_single_fetched() {
         let (_, mut r) = runner(0.05, UdfConfig::default());
-        // llm_map over a literal key: the pre-pass cannot see a table, but
-        // the engine's vectorized execution still answers it through one
-        // batched call — no per-row fallback.
+        // llm_map over a literal key (no table at all): the engine's
+        // vectorized execution still answers it through one batched call
+        // — no per-row fallback.
         let out = r
             .run_sql(
                 "SELECT llm_map('Which publisher published the superhero?', 'Nobody', 'No One')",
@@ -1003,33 +822,9 @@ mod tests {
         assert_eq!(r.stats().fallback_calls, 1);
     }
 
-    /// Regression: `llm_map` inside a JOIN ON condition must be visible to
-    /// the AST pre-pass (the FROM tree was never walked), so every hero is
-    /// prefetched in batch and execution needs zero fallback calls even
-    /// with the engine's own batching ablated.
-    #[test]
-    fn prepass_sees_llm_map_in_join_on() {
-        let (d, mut r) = runner(0.05, UdfConfig::default());
-        r.database_mut().set_optimizer(swan_sqlengine::OptimizerConfig {
-            batch_expensive_udfs: false,
-            ..Default::default()
-        });
-        let heroes = d.curated.catalog().get("superhero").unwrap().len() as u64;
-        r.run_sql(
-            "SELECT COUNT(*) FROM superhero T1 JOIN alignment a \
-             ON llm_map('What is the moral alignment of the superhero?', \
-                        T1.superhero_name, T1.full_name) = a.alignment",
-        )
-        .unwrap();
-        let stats = r.stats();
-        assert_eq!(stats.prefetched_keys, heroes, "pre-pass saw the JOIN ON call");
-        assert_eq!(stats.fallback_calls, 0, "no per-row calls left to make");
-    }
-
-    /// Acceptance: a query the pre-pass cannot handle (`llm_map` in a JOIN
-    /// ON over a subquery source) still issues ceil(distinct_keys /
-    /// batch_size) model calls — the engine's vectorized execution batches
-    /// what the pre-pass bails on.
+    /// Acceptance: `llm_map` in a JOIN ON over a subquery source issues
+    /// ceil(distinct_keys / batch_size) model calls — the engine's
+    /// vectorized execution batches the join key, not one call per row.
     #[test]
     fn join_on_over_subquery_source_is_batched() {
         let d = SwanBenchmark::generate_domain(&GenConfig::with_scale(0.05), "superhero").unwrap();
@@ -1054,18 +849,79 @@ mod tests {
         assert_eq!(r.stats().fallback_calls, 0);
     }
 
-    /// Execution-time answer-store hits are counted (they used to be
-    /// invisible in `UdfStats`).
+    /// Per-row answer-store hits (`invoke`) are counted as
+    /// `exec_cache_hits`, separately from the batch-time `cache_hits`.
     #[test]
     fn execution_cache_hits_are_counted() {
         let (d, mut r) = runner(0.05, UdfConfig::default());
         r.run_sql(&d.questions[0].udf_sql).unwrap();
+        assert_eq!(r.stats().cache_hits, 0, "the first run finds an empty store");
+        // Rerun per row (engine batching off): every row reads the stored
+        // answer through `invoke`.
+        r.database_mut().set_optimizer(swan_sqlengine::OptimizerConfig {
+            batch_expensive_udfs: false,
+            ..Default::default()
+        });
+        r.run_sql(&d.questions[0].udf_sql).unwrap();
         let stats = r.stats();
-        assert!(
-            stats.exec_cache_hits > 0,
-            "execution reads the prefetched answers through the store"
-        );
-        assert_eq!(stats.cache_hits, 0, "prefetch-time hits stay separate");
+        assert!(stats.exec_cache_hits > 0, "per-row execution reads the store");
+        assert_eq!(stats.cache_hits, 0, "batch-time hits stay separate");
+        assert_eq!(stats.fallback_calls, 0, "every row was answered already");
+    }
+
+    /// A batch response that stops short leaves its trailing key
+    /// unanswered; those keys go through one more batched call rather
+    /// than one model call each.
+    #[test]
+    fn short_batch_responses_are_rebatched_once() {
+        use swan_llm::UsageMeter;
+
+        /// Drops the last answer line of every multi-key prompt — once
+        /// per key, so a key that was dropped before is answered on the
+        /// next try (a batch glitch, §5.4, not a permanent refusal).
+        struct ShortModel {
+            inner: Arc<SimulatedModel>,
+            dropped: Mutex<HashSet<Vec<String>>>,
+        }
+        impl swan_llm::LanguageModel for ShortModel {
+            fn name(&self) -> &str {
+                "short-sim"
+            }
+            fn complete(&self, prompt: &str) -> swan_llm::LlmResult<swan_llm::Completion> {
+                let mut c = self.inner.complete(prompt)?;
+                let keys = UdfPrompt::parse(prompt)?.keys;
+                if keys.len() > 1 && self.dropped.lock().insert(keys[keys.len() - 1].clone()) {
+                    let mut lines: Vec<&str> = c.text.lines().collect();
+                    lines.pop();
+                    c.text = lines.join("\n");
+                }
+                Ok(c)
+            }
+            fn usage_meter(&self) -> &UsageMeter {
+                self.inner.usage_meter()
+            }
+        }
+
+        let d = SwanBenchmark::generate_domain(&GenConfig::with_scale(0.05), "superhero").unwrap();
+        let kb = swan_data::build_knowledge(std::slice::from_ref(&d));
+        let inner = Arc::new(SimulatedModel::new(ModelKind::Gpt4Turbo, kb));
+        let model = Arc::new(ShortModel { inner: inner.clone(), dropped: Mutex::new(HashSet::new()) });
+        let mut r = UdfRunner::new(&d, model, UdfConfig::default());
+        let heroes = d.curated.catalog().get("superhero").unwrap().len() as u64;
+        r.run_sql(
+            "SELECT COUNT(*) FROM (SELECT superhero_name, full_name FROM superhero) h \
+             JOIN alignment a \
+             ON llm_map('What is the moral alignment of the superhero?', \
+                        h.superhero_name, h.full_name) = a.alignment",
+        )
+        .unwrap();
+        // The first round's multi-key chunks each leave one key behind.
+        let first = heroes.div_ceil(5);
+        let short = heroes / 5 + u64::from(heroes % 5 > 1);
+        let stats = r.stats();
+        assert_eq!(stats.fallback_calls, 0, "no single-key calls");
+        assert_eq!(inner.usage().calls, first + short.div_ceil(5));
+        assert_eq!(stats.prefetched_keys, heroes);
     }
 
     /// Concurrent rows asking for the same uncached key must coalesce into

@@ -85,9 +85,6 @@ pub const UDF_ANSWERS: u32 = 71;
 /// when degrading to stale results.
 pub const UDF_STALE: u32 = 72;
 
-/// UDF cache statistics (`udf::Shared.stats`).
-pub const UDF_STATS: u32 = 73;
-
 /// LLM response cache (`CachedModel.state`). Never held across a model
 /// call.
 pub const LLM_CACHE: u32 = 80;

@@ -51,6 +51,7 @@ use crate::storage::{
     codec_err, decode_value, encode_value, get_str, get_u32, get_u64, get_u8, put_str, put_u32,
     put_u64, TextInterner,
 };
+use crate::subquery::eq_key;
 use crate::value::{GroupKey, Row, Value};
 
 // ---- bitmaps ---------------------------------------------------------------
@@ -350,6 +351,7 @@ impl ColumnVec {
     /// `Value::group_key` on the materialized cell: integers and reals
     /// collapse to normalized f64 bits (`-0.0` → `0.0`, all NaNs to one
     /// pattern), NULL keys group together.
+    #[inline]
     pub fn group_key_at(&self, i: usize) -> GroupKey {
         if !self.validity.get(i) {
             return GroupKey::Null;
@@ -368,30 +370,20 @@ impl ColumnVec {
         }
     }
 
-    /// Hash-join key for row `i`: `None` for NULL (NULL never joins),
-    /// otherwise the group key — identical to the row path's
-    /// `KeySide::key`. One validity lookup; the typed arms stay small so
-    /// the probe loop inlines them.
+    /// Hash-join key for row `i`: [`eq_key`] of the cell — `None` for
+    /// NULL and NaN, which never join — identical to the row path's
+    /// `KeySide::key`. Only reals and mixed cells can hold a NaN; the
+    /// other typed arms are their group key.
     #[inline]
     pub fn join_key_at(&self, i: usize) -> Option<GroupKey> {
         if !self.validity.get(i) {
             return None;
         }
-        Some(match &self.data {
-            ColumnData::I64(v) => GroupKey::Num((v[i] as f64).to_bits()),
-            ColumnData::F64(v) => {
-                let r = v[i];
-                let r = if r == 0.0 { 0.0 } else { r };
-                let bits = if r.is_nan() { f64::NAN.to_bits() } else { r.to_bits() };
-                GroupKey::Num(bits)
-            }
-            ColumnData::Bool(b) => GroupKey::Num((b.get(i) as i64 as f64).to_bits()),
-            ColumnData::Text { dict, ids } => GroupKey::Text(dict[ids[i] as usize].clone()),
-            ColumnData::Mixed(v) => match v[i].group_key() {
-                GroupKey::Null => return None,
-                k => k,
-            },
-        })
+        match &self.data {
+            ColumnData::F64(v) => eq_key(&Value::Real(v[i])),
+            ColumnData::Mixed(v) => eq_key(&v[i]),
+            _ => Some(self.group_key_at(i)),
+        }
     }
 }
 
@@ -1432,8 +1424,7 @@ mod tests {
             for (i, row) in rows.iter().enumerate() {
                 for j in 0..w {
                     assert_eq!(set.columns[j].group_key_at(i), row[j].group_key(), "({i},{j})");
-                    let want = if row[j].is_null() { None } else { Some(row[j].group_key()) };
-                    assert_eq!(set.columns[j].join_key_at(i), want, "({i},{j})");
+                    assert_eq!(set.columns[j].join_key_at(i), eq_key(&row[j]), "({i},{j})");
                 }
             }
         }

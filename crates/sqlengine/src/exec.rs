@@ -37,7 +37,7 @@ use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use crate::optimizer::{optimize, NeededCol, OptimizerConfig};
 use crate::plan::{plan_from, ColRef, IndexBounds, Plan, PlanJoinKind, RelSchema};
 use crate::storage::Catalog;
-use crate::subquery::{SubqueryCache, SubqueryCounters};
+use crate::subquery::{eq_key, SubqueryCache, SubqueryCounters};
 use crate::value::{GroupKey, Row, UdfArgKey, Value};
 
 /// Results of one expensive UDF's invocations within a statement, keyed
@@ -455,7 +455,18 @@ pub(crate) fn core_input(
     outer: Option<&RowCtx<'_>>,
 ) -> Result<CoreInput> {
     let plan = plan_from(core.from.as_ref(), filter)?;
-    let plan = optimize(plan, ctx.udfs, &ctx.optimizer, ctx.catalog, needed.as_deref())?;
+    let select: Vec<&Expr> = core
+        .projection
+        .iter()
+        .filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            _ => None,
+        })
+        .chain(&core.group_by)
+        .chain(&core.having)
+        .chain(order_by.iter().map(|o| &o.expr))
+        .collect();
+    let plan = optimize(plan, ctx.udfs, &ctx.optimizer, ctx.catalog, needed.as_deref(), &select)?;
     // The optimizer's parallelization rule annotates the plan root; the
     // same partition count then drives the SELECT-level operators
     // (projection, aggregation) over the materialized input.
@@ -1766,26 +1777,19 @@ pub(crate) enum JoinKey {
 }
 
 /// Evaluate the key expressions of one side for one row; `None` marks a
-/// NULL in any key column (NULL never joins).
+/// NULL or NaN in any key column, which `=` never matches ([`eq_key`]).
 fn join_key(
     exprs: &[Expr],
     rc: &RowCtx<'_>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Option<JoinKey>> {
     if let [only] = exprs {
-        let v = eval(only, ctx, Some(rc))?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        return Ok(Some(JoinKey::One(v.group_key())));
+        return Ok(eq_key(&eval(only, ctx, Some(rc))?).map(JoinKey::One));
     }
     let mut key = Vec::with_capacity(exprs.len());
     for e in exprs {
-        let v = eval(e, ctx, Some(rc))?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        key.push(v.group_key());
+        let Some(k) = eq_key(&eval(e, ctx, Some(rc))?) else { return Ok(None) };
+        key.push(k);
     }
     Ok(Some(JoinKey::Many(key)))
 }
@@ -1832,8 +1836,8 @@ impl KeySide {
         }
     }
 
-    /// Key of one row; `None` marks a NULL in any key column (NULL never
-    /// joins).
+    /// Key of one row; `None` marks a NULL or NaN in any key column,
+    /// which never joins ([`eq_key`]).
     #[inline]
     pub(crate) fn key(
         &self,
@@ -1845,19 +1849,12 @@ impl KeySide {
         match self {
             KeySide::Direct(idxs) => {
                 if let [i] = idxs[..] {
-                    let v = &row[i];
-                    if v.is_null() {
-                        return Ok(None);
-                    }
-                    return Ok(Some(JoinKey::One(v.group_key())));
+                    return Ok(eq_key(&row[i]).map(JoinKey::One));
                 }
                 let mut key = Vec::with_capacity(idxs.len());
                 for &i in idxs {
-                    let v = &row[i];
-                    if v.is_null() {
-                        return Ok(None);
-                    }
-                    key.push(v.group_key());
+                    let Some(k) = eq_key(&row[i]) else { return Ok(None) };
+                    key.push(k);
                 }
                 Ok(Some(JoinKey::Many(key)))
             }
@@ -2019,11 +2016,8 @@ fn hash_join(
                         ctx.check_cancel()?;
                     }
                     prefetch_row(rows, pi + PREFETCH_AHEAD);
-                    let v = &prow[pk];
-                    if v.is_null() {
-                        continue;
-                    }
-                    if let Some(cands) = table.get(&JoinKey::One(v.group_key())) {
+                    let Some(gk) = eq_key(&prow[pk]) else { continue };
+                    if let Some(cands) = table.get(&JoinKey::One(gk)) {
                         for &ri in cands.as_slice() {
                             let brow = &build.rows()[ri as usize];
                             let (lrow, rrow): (&[Value], &[Value]) =

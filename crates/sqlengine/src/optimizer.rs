@@ -22,7 +22,12 @@
 //!    expensive UDFs are split so the cheap conjuncts filter first, then a
 //!    [`Plan::Batch`] node vectorizes the expensive calls (one
 //!    `invoke_batch` over the surviving rows' distinct argument tuples)
-//!    before the per-row expensive filter runs.
+//!    before the per-row expensive filter runs. With rule 3 off
+//!    ([`OptimizerConfig::order_expensive_last`]) the SELECT core's
+//!    expensive calls are batched directly over the base-table scans
+//!    they read instead, below every cheap conjunct: the
+//!    predicate-pushdown ablation (A4), where the model answers every
+//!    row of the table.
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::Result;
@@ -34,6 +39,10 @@ use crate::value::Value;
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizerConfig {
     pub pushdown: bool,
+    /// Rule 3: evaluate expensive-UDF conjuncts after the cheap ones, so
+    /// cheap predicates prune rows before any model call. Off, rule 5
+    /// batches every expensive call over the base-table scan it reads
+    /// (see [`optimize`]'s `select` argument).
     pub order_expensive_last: bool,
     pub fold_constants: bool,
     /// Reorder INNER/CROSS join chains by catalog row-count statistics.
@@ -107,13 +116,16 @@ pub type NeededCol = (Option<String>, String);
 /// schema reasoning) and row counts (for join ordering). `needed` lists
 /// the columns the enclosing SELECT reads from the plan's output — `None`
 /// means "everything" (wildcards, subqueries in the projection) and
-/// disables column pruning.
+/// disables column pruning. `select` holds the expressions the SELECT
+/// core evaluates above the plan (projection, GROUP BY, HAVING, ORDER
+/// BY); rule 5 reads it only when `order_expensive_last` is off.
 pub fn optimize(
     plan: Plan,
     udfs: &UdfRegistry,
     config: &OptimizerConfig,
     provider: &dyn SchemaProvider,
     needed: Option<&[NeededCol]>,
+    select: &[&Expr],
 ) -> Result<Plan> {
     let plan = if config.fold_constants { fold_plan(plan) } else { plan };
     let plan = if config.pushdown { pushdown(plan, provider)? } else { plan };
@@ -124,7 +136,11 @@ pub fn optimize(
         (true, Some(needed)) => prune_columns(plan, Some(needed.to_vec()), provider)?,
         _ => plan,
     };
-    let plan = if config.batch_expensive_udfs { batch_expensive_calls(plan, udfs) } else { plan };
+    let plan = match (config.batch_expensive_udfs, config.order_expensive_last) {
+        (true, true) => batch_expensive_calls(plan, udfs),
+        (true, false) => batch_expensive_calls(batch_at_scans(plan, select, udfs, provider)?, udfs),
+        (false, _) => plan,
+    };
     let threads = crate::exec_parallel::effective_threads(config);
     let plan = if threads > 1 {
         parallelize(plan, provider, threads, config.parallel_threshold)
@@ -979,6 +995,89 @@ fn batch_expensive_calls(plan: Plan, udfs: &UdfRegistry) -> Plan {
     }
 }
 
+/// Rule 5 with rule 3 off — the predicate-pushdown ablation (A4): every
+/// expensive call of the SELECT core (in `select`, the plan's filters or
+/// its join conditions) whose columns one base table covers is batched
+/// directly over that table's scan, below every cheap conjunct, so the
+/// model answers every row the scan produces rather than only the rows
+/// the cheap predicates keep. A primary-key index probe stays: it is the
+/// table's access path, not a pushed predicate. Calls no single scan
+/// covers (derived-table sources, cross-table keys, subqueries) keep the
+/// ordinary placement.
+fn batch_at_scans(
+    plan: Plan,
+    select: &[&Expr],
+    udfs: &UdfRegistry,
+    provider: &dyn SchemaProvider,
+) -> Result<Plan> {
+    let mut calls: Vec<Expr> = Vec::new();
+    let mut collect = |e: &Expr| {
+        e.walk(&mut |x| {
+            if let Expr::Function { name, .. } = x {
+                // A call over an aggregate's result cannot run per scan row.
+                if udfs.is_expensive(name) && !x.contains_aggregate() && !calls.contains(x) {
+                    calls.push(x.clone());
+                }
+            }
+        })
+    };
+    select.iter().for_each(|e| collect(e));
+    plan_predicates(&plan, &mut collect);
+    wrap_scans(plan, &calls, provider)
+}
+
+/// Feed every filter predicate and join condition of a plan to `f`.
+fn plan_predicates(plan: &Plan, f: &mut impl FnMut(&Expr)) {
+    match plan {
+        Plan::Filter { input, predicate } => {
+            f(predicate);
+            plan_predicates(input, f);
+        }
+        Plan::Join { left, right, on, .. } => {
+            on.iter().for_each(&mut *f);
+            plan_predicates(left, f);
+            plan_predicates(right, f);
+        }
+        Plan::Permute { input, .. } => plan_predicates(input, f),
+        _ => {}
+    }
+}
+
+/// Put a [`Plan::Batch`] over each base-table scan for the `calls` whose
+/// columns (at least one) that scan alone covers.
+fn wrap_scans(plan: Plan, calls: &[Expr], provider: &dyn SchemaProvider) -> Result<Plan> {
+    Ok(match plan {
+        Plan::Scan { .. } | Plan::IndexScan { .. } => {
+            let schema = plan.schema(provider)?;
+            let mine: Vec<Expr> = calls
+                .iter()
+                .filter(|c| expr_columns(c).is_some_and(|cols| !cols.is_empty()))
+                .filter(|c| schema.covers(c))
+                .cloned()
+                .collect();
+            if mine.is_empty() {
+                plan
+            } else {
+                Plan::Batch { input: Box::new(plan), calls: mine }
+            }
+        }
+        Plan::Filter { input, predicate } => {
+            Plan::Filter { input: Box::new(wrap_scans(*input, calls, provider)?), predicate }
+        }
+        Plan::Join { left, right, kind, on, emit } => Plan::Join {
+            left: Box::new(wrap_scans(*left, calls, provider)?),
+            right: Box::new(wrap_scans(*right, calls, provider)?),
+            kind,
+            on,
+            emit,
+        },
+        Plan::Permute { input, mapping } => {
+            Plan::Permute { input: Box::new(wrap_scans(*input, calls, provider)?), mapping }
+        }
+        other => other,
+    })
+}
+
 // ---- rule 4: constant folding ------------------------------------------
 
 fn fold_plan(plan: Plan) -> Plan {
@@ -1137,8 +1236,7 @@ mod tests {
     }
 
     fn opt(sql: &str) -> Plan {
-        optimize(plan_of(sql), &UdfRegistry::new(), &config(), &Fixture, None)
-            .unwrap()
+        optimize(plan_of(sql), &UdfRegistry::new(), &config(), &Fixture, None, &[]).unwrap()
     }
 
     #[test]
@@ -1180,7 +1278,7 @@ mod tests {
             reorder_joins: false,
             ..config()
         };
-        let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None).unwrap();
+        let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None, &[]).unwrap();
         assert!(matches!(opt, Plan::Filter { .. }));
     }
 
@@ -1208,7 +1306,7 @@ mod tests {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes' AND a.ax = 1");
         let cfg = OptimizerConfig { batch_expensive_udfs: false, ..config() };
-        let opt = optimize(p, &udfs, &cfg, &Fixture, None).unwrap();
+        let opt = optimize(p, &udfs, &cfg, &Fixture, None, &[]).unwrap();
         let Plan::Filter { predicate, .. } = opt else { panic!() };
         let parts = split_conjuncts(&predicate);
         assert_eq!(parts.len(), 2);
@@ -1224,7 +1322,7 @@ mod tests {
     fn expensive_filter_gets_batch_node() {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes' AND a.ax = 1");
-        let opt = optimize(p, &udfs, &config(), &Fixture, None).unwrap();
+        let opt = optimize(p, &udfs, &config(), &Fixture, None, &[]).unwrap();
         let Plan::Filter { input, predicate } = opt else { panic!("expensive filter on top") };
         assert_eq!(expr_cost(&predicate, &udfs), 2);
         let Plan::Batch { input, calls } = *input else { panic!("Batch under it") };
@@ -1239,7 +1337,7 @@ mod tests {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes'");
         let cfg = OptimizerConfig { batch_expensive_udfs: false, ..config() };
-        let opt = optimize(p, &udfs, &cfg, &Fixture, None).unwrap();
+        let opt = optimize(p, &udfs, &cfg, &Fixture, None, &[]).unwrap();
         fn has_batch(p: &Plan) -> bool {
             match p {
                 Plan::Batch { .. } => true,
@@ -1251,12 +1349,41 @@ mod tests {
         assert!(!has_batch(&opt));
     }
 
+    /// Rule 5 with rule 3 off (the pushdown ablation): the SELECT core's
+    /// expensive calls — projection and WHERE alike — are batched
+    /// directly over the scan they read, below the cheap conjunct. With
+    /// rule 3 on, no batch sits on a scan.
+    #[test]
+    fn ordering_off_batches_calls_over_their_scan() {
+        fn scan_batch(p: &Plan) -> Option<(&str, usize)> {
+            match p {
+                Plan::Batch { input, calls } => match &**input {
+                    Plan::Scan { qualifier, .. } => Some((qualifier, calls.len())),
+                    other => scan_batch(other),
+                },
+                Plan::Filter { input, .. } | Plan::Permute { input, .. } => scan_batch(input),
+                Plan::Join { left, right, .. } => scan_batch(left).or_else(|| scan_batch(right)),
+                _ => None,
+            }
+        }
+        let udfs = llm_registry();
+        let sql = "SELECT llm(a.x) FROM a JOIN b ON a.x = b.y WHERE a.ax = 1 AND llm(a.ax) = 'Yes'";
+        let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!() };
+        let SelectBody::Simple(core) = s.body else { panic!() };
+        let crate::ast::SelectItem::Expr { expr, .. } = &core.projection[0] else { panic!() };
+        let off = OptimizerConfig { order_expensive_last: false, ..config() };
+        let opt = optimize(plan_of(sql), &udfs, &off, &Fixture, None, &[expr]).unwrap();
+        assert_eq!(scan_batch(&opt), Some(("a", 2)), "both calls over a's scan: {opt:?}");
+        let opt = optimize(plan_of(sql), &udfs, &config(), &Fixture, None, &[expr]).unwrap();
+        assert_eq!(scan_batch(&opt), None, "cheap conjunct first: {opt:?}");
+    }
+
     /// A filter with only cheap conjuncts never grows a Batch node.
     #[test]
     fn cheap_filter_not_marked() {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE a.ax = 1");
-        let opt = optimize(p, &udfs, &config(), &Fixture, None).unwrap();
+        let opt = optimize(p, &udfs, &config(), &Fixture, None, &[]).unwrap();
         assert!(matches!(opt, Plan::Filter { .. }), "got {opt:?}");
     }
 
@@ -1379,7 +1506,7 @@ mod tests {
             "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN tiny t ON d.id = t.id",
         );
         let cfg = OptimizerConfig { reorder_joins: false, ..config() };
-        let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None).unwrap();
+        let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None, &[]).unwrap();
         let Plan::Join { left, .. } = opt else { panic!() };
         let Plan::Join { left: ll, .. } = *left else { panic!() };
         assert!(matches!(*ll, Plan::Scan { ref table, .. } if table == "fact"));
@@ -1428,7 +1555,7 @@ mod tests {
     }
 
     fn pk_opt(sql: &str) -> Plan {
-        optimize(plan_of(sql), &UdfRegistry::new(), &config(), &PkFixture, None).unwrap()
+        optimize(plan_of(sql), &UdfRegistry::new(), &config(), &PkFixture, None, &[]).unwrap()
     }
 
     /// Unwrap `Filter(IndexScan)` — the rewrite must always keep the full

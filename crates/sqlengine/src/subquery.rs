@@ -131,23 +131,17 @@ impl InSet {
     }
 }
 
-/// Hash key under which two values are SQL-`=` equal: the hash join's
-/// [`Value::group_key`], except that NULL and NaN (which `=` never
-/// matches, not even with themselves) get no key.
-fn eq_key(v: &Value) -> Option<GroupKey> {
+/// Hash key under which two values are SQL-`=` equal: [`Value::group_key`],
+/// except that NULL and NaN (which `=` never matches, not even with
+/// themselves) get no key. The one definition of "can match under `=`"
+/// for every hashed equality: hash-join keys (row and columnar), keyed
+/// subquery partitions and `IN` sets.
+#[inline]
+pub(crate) fn eq_key(v: &Value) -> Option<GroupKey> {
     match v {
         Value::Null => None,
         Value::Real(r) if r.is_nan() => None,
         _ => Some(v.group_key()),
-    }
-}
-
-/// True when a [`KeySide`] key holds a NaN component.
-fn has_nan(key: &JoinKey) -> bool {
-    let nan = |k: &GroupKey| matches!(k, GroupKey::Num(bits) if f64::from_bits(*bits).is_nan());
-    match key {
-        JoinKey::One(k) => nan(k),
-        JoinKey::Many(ks) => ks.iter().any(nan),
     }
 }
 
@@ -446,9 +440,7 @@ fn build_keyed(
             ctx.check_cancel()?;
         }
         if let Some(k) = key.key(&row, &schema, ctx, None)? {
-            if !has_nan(&k) {
-                partitions.entry(k).or_default().push(row);
-            }
+            partitions.entry(k).or_default().push(row);
         }
     }
     Ok(KeyedSubquery { outer_keys, schema, partitions })

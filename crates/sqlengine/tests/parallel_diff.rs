@@ -790,6 +790,7 @@ fn single_thread_config_never_parallelizes() {
         &OptimizerConfig { threads: 1, parallel_threshold: 1, ..Default::default() },
         db.catalog(),
         None,
+        &[],
     )
     .unwrap();
     assert!(
@@ -803,6 +804,7 @@ fn single_thread_config_never_parallelizes() {
         &OptimizerConfig { threads: 8, ..Default::default() },
         db.catalog(),
         None,
+        &[],
     )
     .unwrap();
     let Plan::Parallel { partitions, .. } = parallel else {
@@ -832,6 +834,7 @@ fn small_tables_stay_serial_under_default_threshold() {
         &OptimizerConfig { threads: 8, ..Default::default() },
         db.catalog(),
         None,
+        &[],
     )
     .unwrap();
     assert!(!matches!(optimized, Plan::Parallel { .. }));

@@ -421,7 +421,8 @@ proptest! {
     /// Batched expensive-UDF execution returns exactly the rows of
     /// per-row `invoke` across the four SWAN domain query shapes
     /// (projection, WHERE, JOIN ON, HAVING), and never evaluates more
-    /// argument tuples than the per-row path.
+    /// argument tuples than the per-row path; batching over the scans
+    /// (`order_expensive_last: false`) returns the same rows too.
     #[test]
     fn batched_udf_execution_matches_per_row(
         rows in proptest::collection::vec((any::<i64>(), -40i64..120, "[a-m]{0,5}"), 2..40),
@@ -478,6 +479,16 @@ proptest! {
             batched_tuples <= per_row_tuples,
             "{sql}: batched evaluated {batched_tuples} tuples, per-row {per_row_tuples}"
         );
+
+        // Rule 3 off batches the calls over their base-table scans (the
+        // pushdown ablation): more tuples may reach the UDF, never other rows.
+        let mut scan_batched = domain_db(domain, &rows);
+        scan_batched.register_udf(Arc::new(TagUdf::default()));
+        scan_batched.set_optimizer(OptimizerConfig {
+            order_expensive_last: false,
+            ..Default::default()
+        });
+        assert_same_results(&sql, &scan_batched.query(&sql).unwrap(), &b);
     }
 
     /// LIKE with a literal substring pattern agrees with str::contains.

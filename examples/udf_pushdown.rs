@@ -1,10 +1,10 @@
 //! Hybrid-query UDFs with predicate pushdown (paper §4.2).
 //!
-//! `llm_map('question', key...)` runs inline in SQL. The pre-pass batches
-//! keys (BlendSQL default 5) and — with pushdown — only generates values
-//! for rows that survive the cheap predicates, instead of the paper's
-//! §5.5 pathology of "generating heights for all players" on a point
-//! lookup.
+//! `llm_map('question', key...)` runs inline in SQL. The engine batches
+//! keys (BlendSQL default 5) and — with pushdown, the optimizer's
+//! `order_expensive_last` — only generates values for rows that survive
+//! the cheap predicates, instead of the paper's §5.5 pathology of
+//! "generating heights for all players" on a point lookup.
 //!
 //! Run with: `cargo run --release --example udf_pushdown`
 
@@ -25,11 +25,9 @@ fn main() {
 
     for (label, pushdown) in [("WITH pushdown", true), ("WITHOUT pushdown", false)] {
         let model = Arc::new(SimulatedModel::new(ModelKind::Gpt4Turbo, kb.clone()));
-        let mut runner = UdfRunner::new(
-            &domain,
-            model.clone(),
-            UdfConfig { pushdown, ..Default::default() },
-        );
+        let mut runner = UdfRunner::new(&domain, model.clone(), UdfConfig::default());
+        let db = runner.database_mut();
+        db.set_optimizer(OptimizerConfig { order_expensive_last: pushdown, ..db.optimizer() });
         let result = runner.run_sql(&q.udf_sql).expect("query runs");
         let usage = model.usage();
         println!("== {label} ==");
@@ -46,7 +44,7 @@ fn main() {
     }
 
     println!();
-    println!("The optimizer also orders expensive predicates last inside filters,");
+    println!("The same optimizer rule orders expensive predicates last inside filters,");
     println!("so `WHERE year = 2008 AND llm_map(...) = 'x'` evaluates the cheap");
-    println!("half first (swan_sqlengine::optimizer, rule 2).");
+    println!("half first (swan_sqlengine::optimizer, rule 3).");
 }

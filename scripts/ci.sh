@@ -50,7 +50,12 @@
 #   8. one release-build workspace test pass with SWAN_LOCKDEP=1: the
 #      runtime lock-order validator (rank inversions + order cycles,
 #      normally debug-only) active under the optimized build's real
-#      interleavings.
+#      interleavings;
+#   9. the paper tables (scripts/paper_tables.sh): table3_udf_ex,
+#      table5_tokens, ablation_{batching,pushdown,caching} and
+#      examples/swan_eval at SWAN_SCALE=0.05, each byte-identical to its
+#      golden under tests/golden/paper_tables/ — model calls, tokens,
+#      keys generated, cache reuse and EX may not drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,5 +116,8 @@ cargo test -q --test llm_fault_sim
 
 echo "== workspace tests @ SWAN_LOCKDEP=1 (release, lock-order validated) =="
 SWAN_LOCKDEP=1 cargo test --workspace -q --release
+
+echo "== paper tables @ SWAN_SCALE=0.05 (byte-identical goldens) =="
+scripts/paper_tables.sh
 
 echo "CI gate passed."

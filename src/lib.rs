@@ -28,10 +28,10 @@
 //!   the distinct argument tuples of its input batch and issues one
 //!   `ScalarUdf::invoke_batch` instead of one call per row, so `llm_map`
 //!   chunks keys per `UdfConfig::batch_size` and fans them out across
-//!   parallel workers even for query shapes the BlendSQL-style pre-pass
-//!   cannot analyze (measured on the fallback path: 60 → 12 model calls
-//!   and ~27× wall clock on a join-ON-over-subquery workload; see
-//!   PERF.md's "Batched expensive-UDF execution"). Queries over large
+//!   parallel workers for every query shape — the one UDF batching path
+//!   (60 → 12 model calls and ~27× wall clock against per-row calls on a
+//!   join-ON-over-subquery workload; see PERF.md's "Batched
+//!   expensive-UDF execution"). Queries over large
 //!   inputs execute **morsel-driven parallel** (paper §6 future work):
 //!   the optimizer annotates plans with `Plan::Parallel` from catalog
 //!   row counts, and filters, partitioned hash-join build/probe,
@@ -91,7 +91,8 @@
 //!   schema curation, and 120 beyond-database questions with gold and
 //!   hybrid SQL.
 //! * [`core`] — the two solutions (HQDL schema expansion; BlendSQL-style
-//!   UDFs with batching/pushdown/caching) and the evaluation harness
+//!   UDFs batched and pushed down by the engine, with answer caching) and
+//!   the evaluation harness
 //!   (execution accuracy, data-factuality F1, token reports).
 //!
 //! ## Quick start

@@ -358,6 +358,30 @@ fn retries_respect_the_statement_deadline() {
     }
 }
 
+/// `UdfRunner::run_sql` runs the whole statement — every batched model
+/// call included — under the statement deadline: with every call timing
+/// out, a qualified `llm_map` query fails with the engine's deadline
+/// error at the deadline, not with a breaker error after it.
+#[test]
+fn run_sql_respects_the_statement_deadline() {
+    let d = domain();
+    let mut r = rig(&d, sweep_config(), fast_retry(), BreakerPolicy::default());
+    setup_keys(&mut r, 1);
+    r.transport.add_fault_range(0..1_000, ModelFault::Timeout);
+    r.runner.database_mut().set_statement_timeout(Some(Duration::from_millis(250)));
+    let start = r.clock.now();
+    let err = r
+        .runner
+        .run_sql("SELECT t.k, llm_map('fault sweep probe', t.k) FROM keys t ORDER BY t.k")
+        .unwrap_err();
+    assert!(matches!(err, Error::Deadline), "run_sql must hit the deadline, got {err}");
+    let elapsed = r.clock.now() - start;
+    assert!(
+        elapsed <= Duration::from_millis(250),
+        "never runs past the deadline (virtual elapsed {elapsed:?})"
+    );
+}
+
 /// The deadline also cancels an 8-thread morsel-parallel statement
 /// promptly: pool workers observe the statement token between morsels,
 /// the batch fan-out aborts, and the pool survives to run the next
